@@ -6,10 +6,11 @@ test for when the two coincide, and a Monte Carlo harness for
 MSE-versus-SNR sweeps.
 """
 
+import types
+
 from .channel_models import bessel_tx_covariance, exponential_covariance
 from .estimators import (
     Estimate,
-    PrecisionC,
     blmmse_estimate,
     blmmse_operator,
     build_c,
@@ -54,7 +55,6 @@ from .quantizer import (
     normalized_sign_covariance,
     observation_from_signs,
     quantize,
-    sign_diagonals,
 )
 from .simulate import (
     MseSweepResult,
@@ -70,57 +70,8 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "AssumptionError",
-    "CapabilityError",
-    "CouplingWitness",
-    "DimensionError",
-    "DomainError",
-    "Estimate",
-    "MseSweepResult",
-    "NotPositiveDefiniteError",
-    "OptimalityVerdict",
-    "PrecisionC",
-    "QuantizedObservation",
-    "SecondOrderStats",
-    "SingularMatrixError",
-    "SweepConfig",
-    "SweepRow",
-    "SystemDims",
-    "SystemModel",
-    "TruncatedMeanResult",
-    "bessel_tx_covariance",
-    "blmmse_estimate",
-    "blmmse_operator",
-    "build_c",
-    "build_covariance",
-    "build_pilot_model",
-    "build_pilots",
-    "build_point",
-    "emit_results",
-    "exponential_covariance",
-    "is_blmmse_optimal",
-    "linear_mmse_special_case",
-    "mmse_estimate",
-    "mmse_linear_operator",
-    "mmse_simo3",
-    "normalized_sign_covariance",
-    "observation_from_signs",
-    "orthant_probability",
-    "orthant_probability_mc",
-    "positive_orthant_mean",
-    "positive_orthant_mean_mc",
-    "quantize",
-    "render_csv",
-    "run_mse_sweep",
-    "sample_realization",
-    "sample_realizations",
-    "second_order_stats",
-    "sign_diagonals",
-    "simo3_closed_batch",
-    "snr_of",
-    "standardize",
-    "trial_rng",
-    "truncated_mean_cf_2d",
-]
+# The public names are exactly the imports above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -52,11 +52,17 @@ def _load_observation(path):
     )
 
 
-def _cmd_estimate(args):
-    raw = config_mod.load_raw(args.config)
+def _load_point(path):
+    """Config, SNR and (stats, model) of the single point a config file names."""
+    raw = config_mod.load_raw(path)
     cfg = config_mod.sweep_config_from_dict(raw)
     snr_db = config_mod.point_snr_db(raw, cfg)
     stats, model = build_point(cfg, snr_db)
+    return cfg, snr_db, stats, model
+
+
+def _cmd_estimate(args):
+    cfg, snr_db, stats, model = _load_point(args.config)
     if args.obs is not None:
         obs = _load_observation(args.obs)
     else:
@@ -94,10 +100,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_check_optimality(args):
-    raw = config_mod.load_raw(args.config)
-    cfg = config_mod.sweep_config_from_dict(raw)
-    snr_db = config_mod.point_snr_db(raw, cfg)
-    stats, _ = build_point(cfg, snr_db)
+    _, snr_db, stats, _ = _load_point(args.config)
     verdict = is_blmmse_optimal(stats, eps=args.eps)
     print(f"snr_db: {snr_db:g}")
     print(f"linear estimator optimal: {verdict.optimal}")

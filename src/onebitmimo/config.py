@@ -42,7 +42,8 @@ def _require(raw, key, kind, kind_name):
     if key not in raw:
         raise DomainError(f"config is missing required key '{key}'")
     value = raw[key]
-    if not isinstance(value, kind):
+    # bool subclasses int, so YAML true/false would pass as 1/0
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise DomainError(f"config key '{key}' must be a {kind_name}")
     return value
 
@@ -55,22 +56,20 @@ def sweep_config_from_dict(raw):
     extra = set(dims_raw) - _DIM_KEYS
     if extra:
         raise DomainError(f"dims has unknown keys: {sorted(extra)}")
-    dims = SystemDims(
-        n_tx=int(dims_raw["n_tx"]),
-        n_rx=int(dims_raw["n_rx"]),
-        n_pilots=int(dims_raw["n_pilots"]),
-    )
+    dims = SystemDims(**{k: _require(dims_raw, k, int, "integer") for k in sorted(_DIM_KEYS)})
     covariance = _require(raw, "covariance", dict, "mapping")
     pilots = _require(raw, "pilots", dict, "mapping")
     grid = _require(raw, "snr_grid_db", (list, tuple), "list")
+    if any(isinstance(x, bool) for x in grid):
+        raise DomainError("snr_grid_db entries must be numbers, not booleans")
     try:
         grid = tuple(float(x) for x in grid)
     except (TypeError, ValueError) as exc:
         raise DomainError("snr_grid_db entries must be numbers") from exc
     estimators = _require(raw, "estimators", (list, tuple), "list")
     estimators = tuple(str(x) for x in estimators)
-    trials = int(_require(raw, "trials", (int,), "integer"))
-    seed = int(_require(raw, "seed", (int,), "integer"))
+    trials = _require(raw, "trials", int, "integer")
+    seed = _require(raw, "seed", int, "integer")
     rel_tol = float(raw.get("rel_tol", 1e-4))
     return SweepConfig(
         dims=dims,
@@ -92,5 +91,7 @@ def point_snr_db(raw, config):
     """SNR used by the single-point commands: snr_db if present, else the
     first grid entry."""
     if "snr_db" in raw:
+        if isinstance(raw["snr_db"], bool):
+            raise DomainError("snr_db must be a number, not a boolean")
         return float(raw["snr_db"])
     return float(config.snr_grid_db[0])

@@ -26,8 +26,9 @@ from .exceptions import (
     AssumptionError,
     NotPositiveDefiniteError,
 )
-from .model import hermitian_inverse
+from .model import below_eig_floor, check_hermitian, hermitian_inverse
 from .orthant import arcsin_clamped, positive_orthant_mean
+from .quantizer import arcsine_matrix
 
 # Relative tolerance for structural pattern detection (diagonal inverse,
 # real covariance, standardized diagonal).
@@ -45,21 +46,6 @@ class Estimate:
     pr_r: float | None = None
 
 
-@dataclass(frozen=True)
-class PrecisionC:
-    """Precision matrix of the sign-folded observation.
-
-    With D_R + 1j D_I the inverse observation covariance and Lambda_R,
-    Lambda_I the sign diagonals, C is the 2 tau N_R real symmetric PD matrix
-
-        [[L_R D_R L_R,  L_R D_I^T L_I],
-         [L_I D_I L_R,  L_I D_R L_I]].
-    """
-
-    matrix: np.ndarray
-    obs_len: int
-
-
 def _check_obs(stats, obs):
     t = stats.omega_b.shape[0]
     if obs.r_real.shape != (t,):
@@ -69,7 +55,15 @@ def _check_obs(stats, obs):
 
 
 def build_c(stats, obs):
-    """Assemble the orthant precision matrix C for one sign pattern."""
+    """Precision matrix C of the sign-folded observation for one sign pattern.
+
+    With D_R + 1j D_I the inverse observation covariance and
+    L_R = Diag(Re r), L_I = Diag(Im r) the sign diagonals, C is the
+    2 tau N_R real symmetric PD matrix
+
+        [[L_R D_R L_R,  L_R D_I^T L_I],
+         [L_I D_I L_R,  L_I D_R L_I]].
+    """
     _check_obs(stats, obs)
     rr = obs.r_real
     ri = obs.r_imag
@@ -82,7 +76,7 @@ def build_c(stats, obs):
         raise NotPositiveDefiniteError(
             f"precision matrix C is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    return PrecisionC(matrix=c, obs_len=stats.omega_b.shape[0])
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +85,7 @@ def build_c(stats, obs):
 
 def blmmse_operator(stats, model):
     """Fixed linear map W with h_hat = W r for the Bussgang-linear estimator."""
-    omega = stats.omega_b
-    d = omega.diagonal().real
-    dm = 1.0 / np.sqrt(d)
-    re = dm[:, None] * omega.real * dm[None, :]
-    # exactly 1 in exact arithmetic; arcsin amplifies rounding near 1
-    np.fill_diagonal(re, 1.0)
-    m = arcsin_clamped(re) + 1j * arcsin_clamped(dm[:, None] * omega.imag * dm[None, :])
+    m, dm = arcsine_matrix(stats.omega_b)
     m_inv = hermitian_inverse(m, "arcsin matrix")
     base = (stats.sigma_ch @ model.kron_matrix.conj().T) * dm[None, :]
     return (math.sqrt(np.pi) / 2.0) * base @ m_inv
@@ -136,8 +124,7 @@ def matches_simo3(stats, model):
         return False
     if not _is_real_standardized(stats.sigma_ch):
         return False
-    w = np.linalg.eigvalsh(stats.sigma_ch.real)
-    return w[0] > 1e-12 * w[-1]
+    return not below_eig_floor(np.linalg.eigvalsh(stats.sigma_ch.real))
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,11 @@ def linear_mmse_special_case(case, stats, model, obs):
     if case == "tx-only-correlation":
         if dims.n_pilots != dims.n_tx:
             raise AssumptionError("tx-only-correlation requires n_pilots == n_tx")
-        sigma_tx = _extract_tx_covariance(stats.sigma_ch, dims)
+        sigma_tx = tx_covariance(stats.sigma_ch, dims)
+        if sigma_tx is None:
+            raise AssumptionError(
+                "tx-only-correlation requires sigma_ch = kron(sigma_tx, identity)"
+            )
         gram = s_mat @ s_mat.conj().T
         eta = gram.diagonal().real.mean()
         if np.abs(gram - eta * np.eye(dims.n_pilots)).max() > STRUCT_TOL * max(eta, 1.0):
@@ -252,17 +243,15 @@ def linear_mmse_special_case(case, stats, model, obs):
     raise DomainError(f"unknown special case {case!r}")
 
 
-def _extract_tx_covariance(sigma_ch, dims):
-    """Recover sigma_tx from sigma_ch = kron(sigma_tx, I), validating the
-    Kronecker structure."""
+def tx_covariance(sigma_ch, dims):
+    """Recover sigma_tx from sigma_ch = kron(sigma_tx, I_nrx), or return
+    None when sigma_ch lacks that Kronecker structure within STRUCT_TOL."""
     n_rx, n_tx = dims.n_rx, dims.n_tx
     blocks = sigma_ch.reshape(n_tx, n_rx, n_tx, n_rx)
     sigma_tx = np.trace(blocks, axis1=1, axis2=3) / n_rx
     rebuilt = np.kron(sigma_tx, np.eye(n_rx))
     if np.abs(rebuilt - sigma_ch).max() > STRUCT_TOL * max(np.abs(sigma_ch).max(), 1.0):
-        raise AssumptionError(
-            "tx-only-correlation requires sigma_ch = kron(sigma_tx, identity)"
-        )
+        return None
     return sigma_tx
 
 
@@ -329,9 +318,7 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
         raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
     if np.abs(np.asarray(sigma, dtype=complex).imag).max() > STRUCT_TOL:
         raise DomainError("sigma_ch must be real")
-    sigma = np.asarray(sigma, dtype=complex).real
-    if np.abs(sigma - sigma.T).max() > 1e-12 * max(np.abs(sigma).max(), 1.0):
-        raise DomainError("sigma_ch must be symmetric")
+    sigma = check_hermitian(np.asarray(sigma, dtype=complex).real, "sigma_ch")
     if np.abs(sigma.diagonal() - 1.0).max() > STRUCT_TOL:
         raise DomainError("sigma_ch must be standardized (unit diagonal)")
     if obs.r_real.shape != (3,):
@@ -345,15 +332,14 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
 
 
 def _mmse_general(stats, model, obs, rel_tol, max_samples, seed, use_closed_forms):
-    c = build_c(stats, obs)
     res = positive_orthant_mean(
-        c.matrix,
+        build_c(stats, obs),
         rel_tol=rel_tol,
         max_samples=max_samples,
         seed=seed,
         use_closed_forms=use_closed_forms,
     )
-    t = c.obs_len
+    t = stats.omega_b.shape[0]
     folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]
     h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
     _, logdet = np.linalg.slogdet(stats.omega_b)

@@ -33,8 +33,7 @@ SYMMETRY_TOL = 1e-12
 _UINT64_MOD = 2**64
 
 
-def _as_complex_matrix(m, name):
-    m = np.asarray(m, dtype=complex)
+def _checked_matrix(m, name):
     if m.ndim != 2 or m.size == 0:
         raise DimensionError(f"{name} must be a non-empty 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -42,16 +41,24 @@ def _as_complex_matrix(m, name):
     return m
 
 
-def check_hermitian(m, name, tol=SYMMETRY_TOL):
-    """Validate that m is Hermitian within a relative tolerance and return
-    the exactly Hermitian average (m + m^H)/2."""
-    m = _as_complex_matrix(m, name)
+def check_hermitian(m, name):
+    """Validate that the array m is square and Hermitian (symmetric, when
+    real) within SYMMETRY_TOL relative to its largest entry, and return the
+    exactly Hermitian average (m + m^H)/2 with the dtype of m."""
+    m = _checked_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        raise DomainError(f"{name} is not Hermitian within relative tolerance {tol}")
+    if np.abs(m - m.conj().T).max() > SYMMETRY_TOL * scale:
+        raise DomainError(f"{name} is not Hermitian within relative tolerance {SYMMETRY_TOL}")
     return (m + m.conj().T) / 2.0
+
+
+def below_eig_floor(w):
+    """True when ascending eigenvalues w mark their matrix as not
+    numerically positive definite (min/max ratio at or below
+    EIG_RATIO_FLOOR)."""
+    return w[-1] <= 0.0 or w[0] <= EIG_RATIO_FLOOR * w[-1]
 
 
 def hermitian_inverse(m, name="matrix"):
@@ -61,7 +68,7 @@ def hermitian_inverse(m, name="matrix"):
     below EIG_RATIO_FLOOR, instead of returning garbage.
     """
     w, v = np.linalg.eigh(m)
-    if w[-1] <= 0.0 or w[0] <= EIG_RATIO_FLOOR * w[-1]:
+    if below_eig_floor(w):
         raise SingularMatrixError(
             f"{name} is numerically singular: eigenvalue ratio "
             f"{w[0] / w[-1] if w[-1] > 0 else float('-inf'):.3e} below {EIG_RATIO_FLOOR:g}"
@@ -81,7 +88,7 @@ class SystemDims:
     def __post_init__(self):
         for fname in ("n_tx", "n_rx", "n_pilots"):
             val = getattr(self, fname)
-            if not isinstance(val, (int, np.integer)) or val < 1:
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 1:
                 raise DimensionError(f"{fname} must be a positive integer, got {val!r}")
 
     @property
@@ -108,7 +115,7 @@ class SystemModel:
 def build_pilot_model(pilots, n_rx):
     """Build a SystemModel from a tau x N_T pilot matrix and a receive
     antenna count."""
-    pilots = _as_complex_matrix(pilots, "pilots")
+    pilots = _checked_matrix(np.asarray(pilots, dtype=complex), "pilots")
     n_pilots, n_tx = pilots.shape
     dims = SystemDims(n_tx=n_tx, n_rx=int(n_rx), n_pilots=n_pilots)
     a = np.kron(pilots, np.eye(n_rx))
@@ -163,7 +170,7 @@ def second_order_stats(model, sigma_ch, noise_var):
     noise_var = float(noise_var)
     if not np.isfinite(noise_var) or noise_var < 0.0:
         raise DomainError(f"noise_var must be finite and >= 0, got {noise_var}")
-    sigma_ch = check_hermitian(sigma_ch, "sigma_ch")
+    sigma_ch = check_hermitian(np.asarray(sigma_ch, dtype=complex), "sigma_ch")
     if sigma_ch.shape[0] != model.dims.channel_len:
         raise DimensionError(
             f"sigma_ch has shape {sigma_ch.shape}, expected "
@@ -191,7 +198,7 @@ def second_order_stats(model, sigma_ch, noise_var):
 
 def snr_of(pilots, noise_var):
     """Pilot SNR: trace(S S^H) / (tau * N_T * noise_var)."""
-    pilots = _as_complex_matrix(pilots, "pilots")
+    pilots = _checked_matrix(np.asarray(pilots, dtype=complex), "pilots")
     noise_var = float(noise_var)
     if not np.isfinite(noise_var) or noise_var <= 0.0:
         raise DomainError(f"noise_var must be finite and > 0, got {noise_var}")

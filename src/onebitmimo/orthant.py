@@ -28,13 +28,11 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
+from .model import below_eig_floor, check_hermitian
 
 # Largest dimension the quasi-random integrator will attempt.  Block-diagonal
 # inputs are split first, so only the largest coupled block counts.
 MAX_QMC_DIM = 16
-
-# Eigenvalue ratio below which a covariance is treated as not PD.
-_EIG_RATIO_FLOOR = 1e-12
 
 # Tolerance for clamping arcsine arguments that rounding pushed past +-1.
 _ARCSIN_SLACK = 1e-12
@@ -55,22 +53,14 @@ def arcsin_clamped(x, slack=_ARCSIN_SLACK):
 
 
 def _validate_spd(m, name):
-    """Check a real symmetric PD matrix; return (matrix, eigenvalues)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise DimensionError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} contains non-finite entries")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > 1e-12 * scale:
-        raise DomainError(f"{name} is not symmetric within relative tolerance 1e-12")
-    m = (m + m.T) / 2.0
+    """Check a real symmetric PD matrix; return its symmetrized copy."""
+    m = check_hermitian(np.asarray(m, dtype=float), name)
     w = np.linalg.eigvalsh(m)
-    if w[-1] <= 0.0 or w[0] <= _EIG_RATIO_FLOOR * w[-1]:
+    if below_eig_floor(w):
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
         )
-    return m, w
+    return m
 
 
 def standardize(psi):
@@ -78,7 +68,7 @@ def standardize(psi):
 
     Returns (corr, scale) with psi = Diag(scale) corr Diag(scale).
     """
-    psi, _ = _validate_spd(psi, "psi")
+    psi = _validate_spd(psi, "psi")
     scale = np.sqrt(psi.diagonal())
     corr = psi / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
@@ -285,7 +275,7 @@ def positive_orthant_mean(c, rel_tol=1e-4, max_samples=10_000_000, seed=0,
     (unless use_closed_forms=False, which forces one full-dimension
     numeric evaluation for cross-validation).
     """
-    c, _ = _validate_spd(c, "c")
+    c = _validate_spd(c, "c")
     if not use_closed_forms:
         return _mean_single_block(c, rel_tol, max_samples, seed, use_closed_forms=False)
     comps = _coupling_components(c)
@@ -310,15 +300,11 @@ def truncated_mean_cf_2d(psi):
     For u ~ N(0, psi) with unit variances, returns the pair
     (E[u_1 1{u > 0}], E[u_2 1{u > 0}]) = ((1 + psi12)/(2 sqrt(2 pi)),) * 2.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = check_hermitian(np.asarray(psi, dtype=float), "psi")
     if psi.shape != (2, 2):
         raise DimensionError(f"psi must be 2x2, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi)):
-        raise DomainError("psi contains non-finite entries")
     if abs(psi[0, 0] - 1.0) > 1e-12 or abs(psi[1, 1] - 1.0) > 1e-12:
         raise DomainError("psi must be standardized (unit diagonal)")
-    if abs(psi[0, 1] - psi[1, 0]) > 1e-12:
-        raise DomainError("psi must be symmetric")
     rho = psi[0, 1]
     if abs(rho) > 1.0 + _ARCSIN_SLACK:
         raise DomainError(f"psi12 = {rho!r} outside [-1, 1]")
@@ -353,7 +339,7 @@ def positive_orthant_mean_mc(c, n_samples, seed=0, chunk=1_000_000):
     Samples N(0, C^{-1}/2), keeps draws in the positive orthant and
     averages.  Returns (mean, standard_errors, n_accepted).
     """
-    c, _ = _validate_spd(c, "c")
+    c = _validate_spd(c, "c")
     n = c.shape[0]
     wv, v = np.linalg.eigh(c)
     psi = 0.5 * ((v / wv) @ v.T)

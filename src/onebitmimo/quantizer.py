@@ -4,8 +4,7 @@ Each receive chain keeps only the signs of the real and imaginary parts:
 
     r = sgn(Re b) + 1j * sgn(Im b),   sgn(0) := +1.
 
-The sign vectors double as the diagonal matrices Lambda_R = Diag(Re r) and
-Lambda_I = Diag(Im r) that reappear throughout the estimator algebra.
+The arcsine law gives the second moments of r in closed form.
 """
 
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
+from .orthant import arcsin_clamped
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,6 @@ class QuantizedObservation:
     @property
     def r(self):
         return self.r_real + 1j * self.r_imag
-
-    @property
-    def lambda_r(self):
-        return np.diag(self.r_real.astype(float))
-
-    @property
-    def lambda_i(self):
-        return np.diag(self.r_imag.astype(float))
 
 
 def _sign_plus(x):
@@ -66,28 +58,30 @@ def observation_from_signs(r_real, r_imag):
     return QuantizedObservation(r_real=r_real, r_imag=r_imag)
 
 
-def sign_diagonals(obs):
-    """Return (Lambda_R, Lambda_I) as dense diagonal matrices."""
-    return obs.lambda_r, obs.lambda_i
+def arcsine_matrix(omega_b):
+    """Unscaled arcsine-law matrix of an observation covariance.
 
+    Returns (m, dm) with Dm = Diag(dm) = Diag(omega)^(-1/2) and
 
-def normalized_sign_covariance(omega_b):
-    """Arcsine-law second moments of the quantizer output.
-
-    For b ~ CN(0, omega_b) with r = quantize(b), the real sign covariance
-    E[Re(r) Re(r)^T] equals the real part of the returned matrix and the
-    cross moment E[Im(r) Re(r)^T] equals its imaginary part:
-
-        (2/pi) * [arcsin(Dm Re(omega) Dm) + 1j * arcsin(Dm Im(omega) Dm)]
-
-    with Dm = Diag(omega)^(-1/2).
+        m = arcsin(Dm Re(omega) Dm) + 1j * arcsin(Dm Im(omega) Dm).
     """
     omega_b = np.asarray(omega_b, dtype=complex)
     d = omega_b.diagonal().real
     if np.any(d <= 0.0):
         raise DomainError("omega_b must have positive diagonal")
     dm = 1.0 / np.sqrt(d)
-    re = np.clip(dm[:, None] * omega_b.real * dm[None, :], -1.0, 1.0)
+    re = dm[:, None] * omega_b.real * dm[None, :]
+    # exactly 1 in exact arithmetic; arcsin amplifies rounding near 1
     np.fill_diagonal(re, 1.0)
-    im = np.clip(dm[:, None] * omega_b.imag * dm[None, :], -1.0, 1.0)
-    return (2.0 / np.pi) * (np.arcsin(re) + 1j * np.arcsin(im))
+    im = dm[:, None] * omega_b.imag * dm[None, :]
+    return arcsin_clamped(re) + 1j * arcsin_clamped(im), dm
+
+
+def normalized_sign_covariance(omega_b):
+    """Arcsine-law second moments of the quantizer output.
+
+    For b ~ CN(0, omega_b) with r = quantize(b), the real sign covariance
+    E[Re(r) Re(r)^T] equals the real part of (2/pi) * arcsine_matrix(omega_b)
+    and the cross moment E[Im(r) Re(r)^T] equals its imaginary part.
+    """
+    return (2.0 / np.pi) * arcsine_matrix(omega_b)[0]

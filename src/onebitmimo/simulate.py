@@ -21,6 +21,7 @@ from .estimators import (
     mmse_estimate,
     mmse_linear_operator,
     simo3_closed_batch,
+    tx_covariance,
 )
 from .exceptions import (
     AssumptionError,
@@ -168,7 +169,11 @@ def build_pilots(spec, dims, snr_linear, noise_var=NOISE_VAR, sigma_ch=None):
             raise DomainError("eigenbasis pilots require n_pilots == n_tx")
         if sigma_ch is None:
             raise DomainError("eigenbasis pilots require the channel covariance")
-        sigma_tx = _tx_part(sigma_ch, dims)
+        sigma_tx = tx_covariance(sigma_ch, dims)
+        if sigma_tx is None:
+            raise DomainError(
+                "eigenbasis pilots require sigma_ch = kron(sigma_tx, identity)"
+            )
         _, vecs = np.linalg.eigh(sigma_tx)
         eta = snr_linear * dims.n_tx * noise_var
         return math.sqrt(eta) * vecs.conj().T
@@ -185,17 +190,6 @@ def build_pilots(spec, dims, snr_linear, noise_var=NOISE_VAR, sigma_ch=None):
         target = snr_linear * dims.n_pilots * dims.n_tx * noise_var
         return base * math.sqrt(target / energy)
     raise DomainError(f"unknown pilot kind {kind!r}")
-
-
-def _tx_part(sigma_ch, dims):
-    blocks = sigma_ch.reshape(dims.n_tx, dims.n_rx, dims.n_tx, dims.n_rx)
-    sigma_tx = np.trace(blocks, axis1=1, axis2=3) / dims.n_rx
-    rebuilt = np.kron(sigma_tx, np.eye(dims.n_rx))
-    if np.abs(rebuilt - sigma_ch).max() > 1e-10 * max(np.abs(sigma_ch).max(), 1.0):
-        raise DomainError(
-            "eigenbasis pilots require sigma_ch = kron(sigma_tx, identity)"
-        )
-    return sigma_tx
 
 
 def _resolve_estimator(name, stats, model, rel_tol):
@@ -266,17 +260,13 @@ def run_mse_sweep(config):
     summation in trial order.
     """
     dims = config.dims
-    sigma = build_covariance(config.covariance, dims)
     trials = int(config.trials)
     rows = []
     eta_notes = []
     for snr_db in sorted(float(x) for x in config.snr_grid_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        pilots = build_pilots(config.pilots, dims, snr, NOISE_VAR, sigma_ch=sigma)
-        model = build_pilot_model(pilots, dims.n_rx)
-        stats = second_order_stats(model, sigma, NOISE_VAR)
+        stats, model = build_point(config, snr_db)
         eta_notes.append(
-            f"snr_db={snr_db:g} eta={np.linalg.norm(pilots) ** 2 / dims.n_pilots:.12g}"
+            f"snr_db={snr_db:g} eta={np.linalg.norm(model.pilots) ** 2 / dims.n_pilots:.12g}"
         )
         evals = {
             name: _resolve_estimator(name, stats, model, config.rel_tol)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from onebitmimo import DomainError, SystemDims
+from onebitmimo import DimensionError, DomainError, SystemDims
 from onebitmimo.config import load_raw, load_sweep_config, point_snr_db, sweep_config_from_dict
 
 GOOD = """
@@ -84,10 +84,22 @@ def test_type_errors_rejected():
     raw["snr_grid_db"] = "not a list"
     with pytest.raises(DomainError, match="list"):
         sweep_config_from_dict(raw)
-    raw["snr_grid_db"] = [0]
-    raw["trials"] = "many"
-    with pytest.raises(DomainError, match="integer"):
+    raw["snr_grid_db"] = [0, True]
+    with pytest.raises(DomainError, match="numbers"):
         sweep_config_from_dict(raw)
+    raw["snr_grid_db"] = [0]
+    for key, value in (("trials", "many"), ("trials", True), ("seed", False)):
+        with pytest.raises(DomainError, match="integer"):
+            sweep_config_from_dict(dict(raw, **{key: value}))
+    for key, value in (("n_tx", True), ("n_rx", 2.7)):
+        dims = dict(raw["dims"], **{key: value})
+        with pytest.raises(DomainError, match="integer"):
+            sweep_config_from_dict(dict(raw, dims=dims))
+    cfg = sweep_config_from_dict(raw)
+    with pytest.raises(DomainError, match="number"):
+        point_snr_db(dict(raw, snr_db=True), cfg)
+    with pytest.raises(DimensionError):
+        SystemDims(n_tx=True, n_rx=1, n_pilots=1)
 
 
 def test_missing_required_key_rejected():

@@ -8,7 +8,6 @@ from onebitmimo import (
     normalized_sign_covariance,
     observation_from_signs,
     quantize,
-    sign_diagonals,
 )
 
 
@@ -33,17 +32,6 @@ def test_quantize_odd_symmetry():
     rng = np.random.default_rng(1)
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     np.testing.assert_array_equal(quantize(-b).r, -quantize(b).r)
-
-
-def test_sign_diagonals_square_to_identity():
-    obs = observation_from_signs(
-        np.array([1.0, -1.0, 1.0]), np.array([-1.0, -1.0, 1.0])
-    )
-    lam_r, lam_i = sign_diagonals(obs)
-    np.testing.assert_array_equal(lam_r, np.diag([1.0, -1.0, 1.0]))
-    np.testing.assert_array_equal(lam_i, np.diag([-1.0, -1.0, 1.0]))
-    np.testing.assert_array_equal(lam_r @ lam_r, np.eye(3))
-    np.testing.assert_array_equal(lam_i @ lam_i, np.eye(3))
 
 
 def test_observation_from_signs_validates():

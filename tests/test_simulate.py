@@ -260,6 +260,9 @@ def test_build_pilots_validation():
         build_pilots({"kind": "scaled-unitary"}, dims, -1.0, 1.0)
     with pytest.raises(DomainError):
         build_pilots({"kind": "eigenbasis"}, dims, 1.0, 1.0)
+    not_kron = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    with pytest.raises(DomainError, match="kron"):
+        build_pilots({"kind": "eigenbasis"}, SystemDims(1, 2, 1), 1.0, 1.0, sigma_ch=not_kron)
     with pytest.raises(DomainError):
         build_pilots({"kind": "nope"}, dims, 1.0, 1.0)
     bad = {"kind": "explicit", "real": [[0.0, 0.0], [0.0, 0.0]]}
