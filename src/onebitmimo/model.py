@@ -217,7 +217,10 @@ def trial_rng(seed, stream=0):
     stream = int(stream)
     if seed < 0 or stream < 0:
         raise DomainError("seed and stream must be non-negative integers")
-    return np.random.Generator(np.random.Philox(key=[seed % _UINT64_MOD, stream % _UINT64_MOD]))
+    # An explicit uint64 key: numpy turns a list holding one value >= 2**63
+    # and one below into float64, which rounds nearby seeds onto one key.
+    key = np.array([seed % _UINT64_MOD, stream % _UINT64_MOD], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_realization(stats, model, seed, stream=0):
@@ -241,8 +244,18 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     nn = model.dims.obs_len
     width = 2 * (nh + nn)
     z = np.empty((n_samples, width))
+    # Resetting one Philox to its fresh state (counter 0, nothing buffered)
+    # with the key of trial t draws exactly what trial_rng(seed, start_stream
+    # + t) would, without building (and seeding from os.urandom) a new
+    # generator per trial.
+    gen = trial_rng(seed, start_stream)
+    bits = gen.bit_generator
+    state = bits.state
+    key = state["state"]["key"]
     for t in range(n_samples):
-        z[t] = trial_rng(seed, start_stream + t).standard_normal(width)
+        key[1] = (int(start_stream) + t) % _UINT64_MOD
+        bits.state = state
+        z[t] = gen.standard_normal(width)
     h_white = (z[:, :nh] + 1j * z[:, nh : 2 * nh]) / np.sqrt(2.0)
     noise = (z[:, 2 * nh : 2 * nh + nn] + 1j * z[:, 2 * nh + nn :]) * np.sqrt(
         stats.noise_var / 2.0

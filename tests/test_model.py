@@ -190,6 +190,27 @@ def test_trial_rng_streams():
     assert np.abs(a - c).max() > 0.0
 
 
+def test_sampling_rows_are_trial_streams():
+    # identity covariance and noise variance 2 make every draw reappear exactly
+    model = build_pilot_model(np.ones((1, 1), dtype=complex), 2)
+    stats = second_order_stats(model, np.eye(2, dtype=complex), 2.0)
+    nh, nn = 2, 2
+    for seed, start in ((0, 0), (11, 7), (2**63 + 5, 3), (2**64 - 1, 2**64 - 4)):
+        h, noise, _ = sample_realizations(stats, model, seed, 3, start_stream=start)
+        for t in range(3):
+            z = trial_rng(seed, start + t).standard_normal(2 * (nh + nn))
+            np.testing.assert_array_equal(h[t], (z[:nh] + 1j * z[nh : 2 * nh]) / np.sqrt(2.0))
+            np.testing.assert_array_equal(noise[t], z[2 * nh : 2 * nh + nn] + 1j * z[2 * nh + nn :])
+
+
+def test_trial_rng_large_seeds_and_validation():
+    a = trial_rng(2**63, 0).standard_normal(4)
+    b = trial_rng(2**63 + 1, 0).standard_normal(4)
+    assert np.abs(a - b).max() > 0.0
+    with pytest.raises(DomainError):
+        trial_rng(-1, 0)
+
+
 def test_hermitian_inverse():
     rng = np.random.default_rng(6)
     m = random_hermitian_pd(4, rng)

@@ -16,6 +16,8 @@ from onebitmimo import (
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
+    build_c,
+    observation_from_signs,
     orthant_probability,
     orthant_probability_mc,
     positive_orthant_mean,
@@ -23,7 +25,9 @@ from onebitmimo import (
     standardize,
     truncated_mean_cf_2d,
 )
+from onebitmimo.config import sweep_config_from_dict
 from onebitmimo.orthant import MAX_QMC_DIM, arcsin_clamped
+from onebitmimo.simulate import build_point
 
 CLOSED_TOL = 1e-12
 
@@ -147,6 +151,64 @@ def test_qmc_accuracy_error_carries_estimate():
         orthant_probability(psi, rel_tol=1e-10, max_samples=50_000, seed=0)
     assert info.value.estimate > 0.0
     assert info.value.error_estimate > 0.0
+
+
+def test_reordering_is_invisible():
+    rng = np.random.default_rng(53)
+    for n in (5, 6):
+        psi = random_correlation(n, rng)
+        perm = rng.permutation(n)
+        p = orthant_probability(psi, seed=2)
+        p_perm = orthant_probability(psi[np.ix_(perm, perm)], seed=2)
+        assert p_perm == pytest.approx(p, rel=1e-3)
+
+
+def test_numeric_path_matches_closed_forms_of_blocks():
+    rng = np.random.default_rng(59)
+    blocks = [random_correlation(3, rng), random_correlation(3, rng)]
+    psi = np.zeros((6, 6))
+    psi[:3, :3], psi[3:, 3:] = blocks
+    expect = orthant_probability(blocks[0]) * orthant_probability(blocks[1])
+    p_numeric = orthant_probability(psi, use_closed_forms=False, seed=4)
+    assert p_numeric == pytest.approx(expect, rel=1e-3)
+
+
+def order8_problem(r_real, r_imag):
+    """0.5 C^{-1} of one sign pattern of a 1 tx, 2 rx, tau = 2 complex config
+    at 10 dB: the order-8 orthant problem behind Pr(r)."""
+    idx = np.arange(2)
+    lag = idx[:, None] - idx[None, :]
+    sigma = 0.9 ** np.abs(lag) * np.exp(0.7j * lag)
+    raw = {
+        "dims": {"n_tx": 1, "n_rx": 2, "n_pilots": 2},
+        "covariance": {"kind": "custom", "real": sigma.real.tolist(),
+                       "imag": sigma.imag.tolist()},
+        "pilots": {"kind": "explicit", "real": [[1.0], [0.0]], "imag": [[0.0], [1.0]]},
+        "snr_grid_db": [10.0],
+        "estimators": ["mmse"],
+        "trials": 1,
+        "seed": 0,
+    }
+    stats, _ = build_point(sweep_config_from_dict(raw), 10.0)
+    obs = observation_from_signs(np.array(r_real, float), np.array(r_imag, float))
+    return 0.5 * np.linalg.inv(build_c(stats, obs))
+
+
+# Patterns on which an unreordered Richtmyer lattice spent 10^7 evaluations
+# without reaching the default tolerance.
+@pytest.mark.parametrize(
+    "r_real, r_imag",
+    [
+        ([-1, 1, 1, 1], [1, 1, 1, 1]),
+        ([-1, 1, 1, 1], [1, -1, 1, 1]),
+        ([-1, 1, 1, -1], [1, 1, 1, 1]),
+    ],
+)
+def test_order8_default_tolerance_completes(r_real, r_imag):
+    psi = order8_problem(r_real, r_imag)
+    p = orthant_probability(psi, seed=0)
+    mc, se = orthant_probability_mc(psi, 4_000_000, seed=12)
+    assert abs(p - mc) < 5.0 * se
 
 
 def test_dimension_cap():
