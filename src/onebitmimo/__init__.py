@@ -38,7 +38,6 @@ from .model import (
     sample_realizations,
     second_order_stats,
     snr_of,
-    trial_rng,
 )
 from .optimality import CouplingWitness, OptimalityVerdict, is_blmmse_optimal
 from .orthant import (

@@ -15,6 +15,7 @@ second-order statistics bundled in :class:`SecondOrderStats`.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .exceptions import (
     DimensionError,
@@ -31,6 +32,13 @@ EIG_RATIO_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-12
 
 _UINT64_MOD = 2**64
+
+# How sample_realizations turns (seed, trial) into normals; sweeps echo it in
+# their metadata.  w = 2 * (channel_len + obs_len) words per trial.
+STREAM_CONTRACT = (
+    "philox4x64 key=(seed,0), normal=ndtri(((word>>12)+0.5)*2^-52), "
+    "trial t at words [t*w,(t+1)*w)"
+)
 
 
 def _checked_matrix(m, name):
@@ -206,36 +214,43 @@ def snr_of(pilots, noise_var):
     return float(np.linalg.norm(pilots) ** 2 / (n_pilots * n_tx * noise_var))
 
 
-def trial_rng(seed, stream=0):
-    """Counter-based generator for one (seed, stream) pair.
+def _philox(seed, stream, word=0):
+    """Philox4x64 bit generator keyed by the uint64 pair (seed, stream),
+    positioned so that its next output is uint64 word `word` of the stream.
 
-    Streams with the same seed and different stream indices are independent
-    Philox keys, so trial draws do not depend on execution order or on how
-    trials are divided among workers.
+    The key is an explicit uint64 array: numpy turns a list holding one
+    value >= 2**63 and one below into float64, which rounds nearby seeds
+    onto one key.
     """
-    seed = int(seed)
-    stream = int(stream)
-    if seed < 0 or stream < 0:
-        raise DomainError("seed and stream must be non-negative integers")
-    # An explicit uint64 key: numpy turns a list holding one value >= 2**63
-    # and one below into float64, which rounds nearby seeds onto one key.
+    seed, stream, word = int(seed), int(stream), int(word)
+    if min(seed, stream, word) < 0:
+        raise DomainError("seed, stream and stream position must be non-negative integers")
     key = np.array([seed % _UINT64_MOD, stream % _UINT64_MOD], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key)
+    # Philox yields words in blocks of 4: skip whole blocks by counter, then
+    # drop the words of the block that precede the position.
+    bits.advance(word // 4)
+    bits.random_raw(word % 4)
+    return bits
 
 
 def sample_realization(stats, model, seed, stream=0):
-    """Draw one (h, n, b) realization, deterministic given (seed, stream)."""
+    """Draw one (h, n, b) realization: trial `stream` of the seed's stream,
+    the same row sample_realizations returns for that trial."""
     h, n, b = sample_realizations(stats, model, seed, 1, start_stream=stream)
     return h[0], n[0], b[0]
 
 
 def sample_realizations(stats, model, seed, n_samples, start_stream=0):
-    """Draw n_samples realizations with one counter-based stream per trial.
+    """Draw n_samples realizations from one counter-based stream per seed.
 
     Returns (h, noise, b) arrays of shape (n_samples, channel_len) and
-    (n_samples, obs_len).  Trial t always uses stream start_stream + t, so
-    any contiguous slice of trials reproduces exactly regardless of how the
-    full run is chunked.
+    (n_samples, obs_len).  The stream is Philox4x64 keyed (seed, 0); trial
+    t = start_stream + i owns its uint64 words [t*w, (t+1)*w), where
+    w = 2 * (channel_len + obs_len), and each word becomes the standard
+    normal ndtri(((word >> 12) + 0.5) * 2**-52).  Trial t is a function of
+    (seed, t) alone, so any contiguous slice of trials reproduces exactly
+    regardless of how the full run is chunked.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -243,19 +258,14 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     nh = model.dims.channel_len
     nn = model.dims.obs_len
     width = 2 * (nh + nn)
-    z = np.empty((n_samples, width))
-    # Resetting one Philox to its fresh state (counter 0, nothing buffered)
-    # with the key of trial t draws exactly what trial_rng(seed, start_stream
-    # + t) would, without building (and seeding from os.urandom) a new
-    # generator per trial.
-    gen = trial_rng(seed, start_stream)
-    bits = gen.bit_generator
-    state = bits.state
-    key = state["state"]["key"]
-    for t in range(n_samples):
-        key[1] = (int(start_stream) + t) % _UINT64_MOD
-        bits.state = state
-        z[t] = gen.standard_normal(width)
+    raw = _philox(seed, 0, int(start_stream) * width).random_raw((n_samples, width))
+    # 52 bits, so k + 0.5 is exact in a double and u stays inside (0, 1);
+    # with 53 bits the top word would round to u = 1 and map to +inf.
+    np.right_shift(raw, 12, out=raw)
+    z = raw.view(np.float64)
+    np.add(raw, 0.5, out=z)
+    np.multiply(z, 2.0**-52, out=z)
+    ndtri(z, out=z)
     h_white = (z[:, :nh] + 1j * z[:, nh : 2 * nh]) / np.sqrt(2.0)
     noise = (z[:, 2 * nh : 2 * nh + nn] + 1j * z[:, 2 * nh + nn :]) * np.sqrt(
         stats.noise_var / 2.0

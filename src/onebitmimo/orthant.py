@@ -33,7 +33,7 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import below_eig_floor, check_hermitian
+from .model import _philox, below_eig_floor, check_hermitian
 
 # Largest dimension the quasi-random integrator will attempt.  Block-diagonal
 # inputs are split first, so only the largest coupled block counts.
@@ -228,7 +228,7 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
     if n == 1:
         return 0.5, 0.0
     chol = _reordered_cholesky(corr)
-    rng = np.random.Generator(np.random.Philox(key=[seed % 2**64, 10_000]))
+    rng = np.random.Generator(_philox(seed, 10_000))
 
     est, err = 0.0, math.inf
     evals = 0
@@ -411,7 +411,7 @@ def orthant_probability_mc(psi, n_samples, seed=0, chunk=2_000_000):
     """
     corr, _ = standardize(psi)
     chol = np.linalg.cholesky(corr)
-    rng = np.random.Generator(np.random.Philox(key=[seed % 2**64, 1]))
+    rng = np.random.Generator(_philox(seed, 1))
     n_samples = int(n_samples)
     hits = 0
     left = n_samples
@@ -435,7 +435,7 @@ def positive_orthant_mean_mc(c, n_samples, seed=0, chunk=1_000_000):
     wv, v = np.linalg.eigh(c)
     psi = 0.5 * ((v / wv) @ v.T)
     chol = np.linalg.cholesky((psi + psi.T) / 2.0)
-    rng = np.random.Generator(np.random.Philox(key=[seed % 2**64, 2]))
+    rng = np.random.Generator(_philox(seed, 2))
     n_samples = int(n_samples)
     total = np.zeros(n)
     total_sq = np.zeros(n)

@@ -31,8 +31,8 @@ class QuantizedObservation:
         return self.r_real + 1j * self.r_imag
 
 
-def _sign_plus(x):
-    # sgn with the tie sgn(0) = +1
+def sgn(x):
+    """Elementwise sign of a real array with the tie sgn(0) = +1."""
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
@@ -43,7 +43,7 @@ def quantize(b):
         raise DimensionError(f"observation must be a non-empty 1-d vector, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise DomainError("observation contains NaN or infinite entries")
-    return QuantizedObservation(r_real=_sign_plus(b.real), r_imag=_sign_plus(b.imag))
+    return QuantizedObservation(r_real=sgn(b.real), r_imag=sgn(b.imag))
 
 
 def observation_from_signs(r_real, r_imag):

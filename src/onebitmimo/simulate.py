@@ -3,10 +3,11 @@
 The harness fixes the noise variance at 1 and solves the pilot energy from
 the target SNR through snr = trace(S S^H) / (tau N_T noise_var), so the
 SNR axis of a sweep is exact by construction; the per-point pilot energy
-is echoed in the result metadata.  Every trial draws from its own
-counter-based stream keyed by (seed, trial index), and per-trial squared
-errors are reduced with compensated summation in trial order, so results
-are bit-identical for any chunking of the work.
+is echoed in the result metadata.  Trial t draws its normals from words
+[t*w, (t+1)*w) of one counter-based Philox stream keyed by the seed (see
+model.sample_realizations), and per-trial squared errors are reduced with
+compensated summation in trial order, so results are bit-identical for any
+chunking of the work.
 """
 
 import math
@@ -29,9 +30,15 @@ from .exceptions import (
     DimensionError,
     DomainError,
 )
-from .model import SystemDims, build_pilot_model, sample_realizations, second_order_stats
+from .model import (
+    STREAM_CONTRACT,
+    SystemDims,
+    build_pilot_model,
+    sample_realizations,
+    second_order_stats,
+)
 from .orthant import MAX_QMC_DIM
-from .quantizer import observation_from_signs
+from .quantizer import observation_from_signs, sgn
 
 NOISE_VAR = 1.0
 
@@ -256,8 +263,8 @@ def run_mse_sweep(config):
 
     Returns an MseSweepResult with one row per (snr_db, estimator),
     ordered by ascending SNR then estimator name.  Deterministic for a
-    fixed config: per-trial counter-based streams plus compensated
-    summation in trial order.
+    fixed config: trials sit at fixed positions of one counter-based
+    stream, and squared errors are summed with compensation in trial order.
     """
     dims = config.dims
     trials = int(config.trials)
@@ -279,8 +286,8 @@ def run_mse_sweep(config):
             h, _, b = sample_realizations(
                 stats, model, config.seed, n, start_stream=done
             )
-            rr = np.where(b.real >= 0.0, 1.0, -1.0)
-            ri = np.where(b.imag >= 0.0, 1.0, -1.0)
+            rr = sgn(b.real)
+            ri = sgn(b.imag)
             for name, evaluate in evals.items():
                 diff = evaluate(rr, ri) - h
                 sq_errors[name].append(
@@ -314,6 +321,7 @@ def run_mse_sweep(config):
         "estimators": ",".join(config.estimators),
         "trials": str(trials),
         "seed": str(config.seed),
+        "sampling": STREAM_CONTRACT,
         "rel_tol": f"{config.rel_tol:g}",
     }
     return MseSweepResult(rows=rows, metadata=metadata)

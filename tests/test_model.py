@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from onebitmimo import (
     DimensionError,
@@ -13,7 +14,6 @@ from onebitmimo import (
     sample_realizations,
     second_order_stats,
     snr_of,
-    trial_rng,
 )
 from onebitmimo.model import hermitian_inverse
 
@@ -182,33 +182,74 @@ def test_single_realization_matches_stream_zero():
     np.testing.assert_array_equal(b1, b[0])
 
 
-def test_trial_rng_streams():
-    a = trial_rng(5, 3).standard_normal(4)
-    b = trial_rng(5, 3).standard_normal(4)
-    c = trial_rng(5, 4).standard_normal(4)
+def word_normals(raw):
+    """The sampling map from uint64 words to standard normals."""
+    return ndtri(((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
+
+
+def stream_normals(seed, word, count):
+    """Normals at uint64 words [word, word + count) of the Philox stream keyed
+    (seed, 0), reached by writing the block counter into the state."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bits.state
+    block = word // 4
+    state["state"]["counter"] = np.array(
+        [(block >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64
+    )
+    bits.state = state
+    return word_normals(bits.random_raw(word % 4 + count)[word % 4 :])
+
+
+def test_sampling_reproduces_per_seed_and_trial():
+    model = build_pilot_model(np.ones((1, 1), dtype=complex), 2)
+    stats = second_order_stats(model, np.eye(2, dtype=complex), 1.0)
+    a = sample_realizations(stats, model, 5, 4, start_stream=3)[0]
+    b = sample_realizations(stats, model, 5, 4, start_stream=3)[0]
+    c = sample_realizations(stats, model, 5, 4, start_stream=4)[0]
+    d = sample_realizations(stats, model, 6, 4, start_stream=3)[0]
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - c).max() > 0.0
+    assert np.abs(a - d).max() > 0.0
 
 
-def test_sampling_rows_are_trial_streams():
+def test_sampling_rows_are_stream_words():
     # identity covariance and noise variance 2 make every draw reappear exactly
     model = build_pilot_model(np.ones((1, 1), dtype=complex), 2)
     stats = second_order_stats(model, np.eye(2, dtype=complex), 2.0)
     nh, nn = 2, 2
+    w = 2 * (nh + nn)
+    fresh = np.random.Philox(key=np.array([11, 0], dtype=np.uint64)).random_raw(10 * w)
+    np.testing.assert_array_equal(stream_normals(11, 7 * w, 3 * w), word_normals(fresh[7 * w :]))
     for seed, start in ((0, 0), (11, 7), (2**63 + 5, 3), (2**64 - 1, 2**64 - 4)):
         h, noise, _ = sample_realizations(stats, model, seed, 3, start_stream=start)
         for t in range(3):
-            z = trial_rng(seed, start + t).standard_normal(2 * (nh + nn))
+            z = stream_normals(seed, (start + t) * w, w)
             np.testing.assert_array_equal(h[t], (z[:nh] + 1j * z[nh : 2 * nh]) / np.sqrt(2.0))
             np.testing.assert_array_equal(noise[t], z[2 * nh : 2 * nh + nn] + 1j * z[2 * nh + nn :])
 
 
-def test_trial_rng_large_seeds_and_validation():
-    a = trial_rng(2**63, 0).standard_normal(4)
-    b = trial_rng(2**63 + 1, 0).standard_normal(4)
+def test_sampling_is_chunk_invariant_inside_a_block():
+    # width 6 puts trials 1, 2, 3 at words 6, 12, 18: mid-block, aligned, mid-block
+    model = build_pilot_model(np.array([[1.0], [1j]]), 1)
+    stats = second_order_stats(model, np.eye(1, dtype=complex), 0.5)
+    h_all, n_all, b_all = sample_realizations(stats, model, seed=4, n_samples=12)
+    for start in (1, 2, 3, 5, 6, 7):
+        h, n, b = sample_realizations(stats, model, seed=4, n_samples=5, start_stream=start)
+        np.testing.assert_array_equal(h, h_all[start : start + 5])
+        np.testing.assert_array_equal(n, n_all[start : start + 5])
+        np.testing.assert_array_equal(b, b_all[start : start + 5])
+
+
+def test_sampling_large_seeds_and_validation():
+    model = build_pilot_model(np.ones((1, 1), dtype=complex), 1)
+    stats = second_order_stats(model, np.eye(1, dtype=complex), 1.0)
+    a = sample_realizations(stats, model, 2**63, 2)[0]
+    b = sample_realizations(stats, model, 2**63 + 1, 2)[0]
     assert np.abs(a - b).max() > 0.0
     with pytest.raises(DomainError):
-        trial_rng(-1, 0)
+        sample_realizations(stats, model, -1, 2)
+    with pytest.raises(DomainError):
+        sample_realizations(stats, model, 0, 2, start_stream=-1)
 
 
 def test_hermitian_inverse():

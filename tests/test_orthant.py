@@ -334,3 +334,15 @@ def test_rejection_oracle_needs_acceptances():
 def test_counting_oracle_sanity():
     p, se = orthant_probability_mc(np.eye(2), 400_000, seed=1)
     assert abs(p - 0.25) < 5.0 * se
+
+
+def test_oracles_key_large_seeds_exactly():
+    # as a float64 key both seeds would round to 2**63 and share one stream
+    psi = equicorrelated(3, 0.4)
+    a = orthant_probability_mc(psi, 100_000, seed=2**63)
+    b = orthant_probability_mc(psi, 100_000, seed=2**63 + 5)
+    assert a[0] != b[0]
+    c = 0.5 * np.linalg.inv(psi)
+    mean_a = positive_orthant_mean_mc(c, 10_000, seed=2**63)[0]
+    mean_b = positive_orthant_mean_mc(c, 10_000, seed=2**63 + 5)[0]
+    assert np.abs(mean_a - mean_b).max() > 0.0

@@ -123,6 +123,10 @@ def test_metadata_echoes_config():
     assert meta["seed"] == "7"
     assert "kind=identity" in meta["covariance"]
     assert "snr_db=10" in meta["pilot_energy_per_symbol"]
+    assert meta["sampling"] == (
+        "philox4x64 key=(seed,0), normal=ndtri(((word>>12)+0.5)*2^-52), "
+        "trial t at words [t*w,(t+1)*w)"
+    )
 
 
 def test_closed_form_estimator_matches_mmse():
