@@ -14,7 +14,6 @@ from .estimators import (
     blmmse_estimate,
     blmmse_operator,
     build_c,
-    linear_mmse_special_case,
     mmse_estimate,
     mmse_linear_operator,
     mmse_simo3,

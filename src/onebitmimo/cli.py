@@ -170,7 +170,8 @@ def build_parser():
                            help="check whether the linear estimator is exactly optimal")
     p_opt.add_argument("--config", required=True, help="YAML config file")
     p_opt.add_argument("--eps", type=float, default=1e-10,
-                       help="relative coupling threshold (default 1e-10)")
+                       help="coupling threshold, relative to the largest entry "
+                            "of the inverse observation covariance (default 1e-10)")
     p_opt.set_defaults(func=_cmd_check_optimality)
 
     p_orth = sub.add_parser("orthant",

@@ -7,12 +7,14 @@ Two families:
 * ``mmse_estimate`` is the exact posterior mean.  Conditioned on r the
   scaled observation lives in a positive orthant with precision matrix C
   (built by ``build_c``), and the posterior mean reduces to orthant
-  probabilities of dimension one lower.  For specific structures
-  (effectively diagonal C, real two- and three-antenna single-input
-  configurations) exact closed forms are dispatched instead.
+  probabilities of dimension one lower; coupled blocks of C of size at
+  most three are solved exactly by arcsine closed forms.  The real
+  three-antenna single-input configuration has a dedicated vectorized
+  closed form.
 
 The two coincide exactly when C carries at most one off-diagonal coupling
-per row (see :mod:`onebitmimo.optimality`).
+per row (see :mod:`onebitmimo.optimality`); every block of C is then
+closed-form.
 """
 
 import math
@@ -23,15 +25,15 @@ import numpy as np
 from .exceptions import (
     DimensionError,
     DomainError,
-    AssumptionError,
     NotPositiveDefiniteError,
 )
 from .model import below_eig_floor, check_hermitian, hermitian_inverse
+from .optimality import is_blmmse_optimal
 from .orthant import arcsin_clamped, positive_orthant_mean
 from .quantizer import arcsine_matrix
 
-# Relative tolerance for structural pattern detection (diagonal inverse,
-# real covariance, standardized diagonal).
+# Relative tolerance for structural pattern detection (real covariance,
+# standardized diagonal, Kronecker transmit structure).
 STRUCT_TOL = 1e-10
 
 
@@ -98,14 +100,16 @@ def blmmse_estimate(stats, model, obs):
 
 
 # ---------------------------------------------------------------------------
-# structural detection of exact linear cases
+# structural detection of exact closed forms
 
 
-def _is_effectively_diagonal(stats):
-    oi = stats.omega_inv
-    scale = np.abs(oi).max()
-    off = oi - np.diag(oi.diagonal())
-    return np.abs(off).max() <= STRUCT_TOL * scale
+def mmse_linear_operator(stats, model):
+    """Return the linear map W with posterior mean W r when the posterior
+    mean is linear in r (see is_blmmse_optimal); it is then the BLMMSE
+    operator.  Otherwise None."""
+    if is_blmmse_optimal(stats).optimal:
+        return blmmse_operator(stats, model)
+    return None
 
 
 def _is_real_standardized(sigma_ch):
@@ -127,120 +131,8 @@ def matches_simo3(stats, model):
     return not below_eig_floor(np.linalg.eigvalsh(stats.sigma_ch.real))
 
 
-@dataclass(frozen=True)
-class LinearEstimator:
-    """Exact linear MMSE map for a structurally linear configuration."""
-
-    matrix: np.ndarray
-    kind: str  # "diagonal" or "simo2-real"
-
-    def __call__(self, obs):
-        return self.matrix @ obs.r
-
-
-def mmse_linear_operator(stats, model):
-    """Return the exact linear MMSE operator when the configuration admits
-    one (inverse observation covariance effectively diagonal, or a real
-    standardized two-antenna single-input setup); otherwise None."""
-    if _is_effectively_diagonal(stats):
-        d = stats.omega_b.diagonal().real
-        w = (stats.sigma_ch @ model.kron_matrix.conj().T) / np.sqrt(np.pi * d)[None, :]
-        return LinearEstimator(matrix=w, kind="diagonal")
-    if _is_simo(model) and model.dims.n_rx == 2 and _is_real_standardized(stats.sigma_ch):
-        sigma = stats.sigma_ch.real
-        s = model.pilots[0, 0]
-        denom = abs(s) ** 2 + stats.noise_var
-        beta = sigma[0, 1] * abs(s) ** 2 / denom
-        t_off = (2.0 / np.pi) * arcsin_clamped(beta)
-        t_mat = np.array([[1.0, t_off], [t_off, 1.0]])
-        w = np.conj(s) * sigma @ np.linalg.inv(t_mat) / math.sqrt(np.pi * denom)
-        return LinearEstimator(matrix=w, kind="simo2-real")
-    return None
-
-
-def _pr_linear(stats, model, lin, obs):
-    """Sign-pattern probability along the linear closed forms."""
-    t = stats.omega_b.shape[0]
-    if lin.kind == "diagonal":
-        return 4.0 ** (-t)
-    sigma = stats.sigma_ch.real
-    s = model.pilots[0, 0]
-    beta = sigma[0, 1] * abs(s) ** 2 / (abs(s) ** 2 + stats.noise_var)
-    p_x = 0.25 + arcsin_clamped(obs.r_real[0] * obs.r_real[1] * beta) / (2.0 * np.pi)
-    p_y = 0.25 + arcsin_clamped(obs.r_imag[0] * obs.r_imag[1] * beta) / (2.0 * np.pi)
-    return p_x * p_y
-
-
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def linear_mmse_special_case(case, stats, model, obs):
-    """Evaluate one of the exactly-linear MMSE closed forms.
-
-    case is one of "uncorrelated-unitary", "tx-only-correlation" or
-    "simo2-real".  Raises AssumptionError naming the first structural
-    assumption the configuration violates.
-    """
-    _check_obs(stats, obs)
-    dims = model.dims
-    s_mat = model.pilots
-    nv = stats.noise_var
-    if case == "uncorrelated-unitary":
-        if dims.n_pilots != dims.n_tx:
-            raise AssumptionError("uncorrelated-unitary requires n_pilots == n_tx")
-        if np.abs(stats.sigma_ch - np.eye(dims.channel_len)).max() > STRUCT_TOL:
-            raise AssumptionError(
-                "uncorrelated-unitary requires identity channel covariance"
-            )
-        gram = s_mat @ s_mat.conj().T
-        eta = gram.diagonal().real.mean()
-        if np.abs(gram - eta * np.eye(dims.n_pilots)).max() > STRUCT_TOL * max(eta, 1.0):
-            raise AssumptionError(
-                "uncorrelated-unitary requires scaled-unitary pilots (S S^H = eta I)"
-            )
-        w = np.kron(s_mat.conj().T, np.eye(dims.n_rx)) / math.sqrt(np.pi * (eta + nv))
-        return Estimate(h_hat=w @ obs.r, estimator="mmse-closed",
-                        pr_r=4.0 ** (-dims.obs_len))
-    if case == "tx-only-correlation":
-        if dims.n_pilots != dims.n_tx:
-            raise AssumptionError("tx-only-correlation requires n_pilots == n_tx")
-        sigma_tx = tx_covariance(stats.sigma_ch, dims)
-        if sigma_tx is None:
-            raise AssumptionError(
-                "tx-only-correlation requires sigma_ch = kron(sigma_tx, identity)"
-            )
-        gram = s_mat @ s_mat.conj().T
-        eta = gram.diagonal().real.mean()
-        if np.abs(gram - eta * np.eye(dims.n_pilots)).max() > STRUCT_TOL * max(eta, 1.0):
-            raise AssumptionError(
-                "tx-only-correlation requires scaled-unitary pilots (S S^H = eta I)"
-            )
-        rotated = s_mat @ sigma_tx @ s_mat.conj().T
-        xi = rotated.diagonal().real / eta
-        if np.abs(rotated - eta * np.diag(xi)).max() > STRUCT_TOL * np.abs(rotated).max():
-            raise AssumptionError(
-                "tx-only-correlation requires pilots aligned with the covariance "
-                "eigenbasis (S sigma_tx S^H diagonal)"
-            )
-        u = s_mat.conj().T / math.sqrt(eta)
-        gains = xi * math.sqrt(eta) / np.sqrt(eta * xi + nv)
-        w = np.kron(u * gains[None, :], np.eye(dims.n_rx)) / math.sqrt(np.pi)
-        return Estimate(h_hat=w @ obs.r, estimator="mmse-closed",
-                        pr_r=4.0 ** (-dims.obs_len))
-    if case == "simo2-real":
-        if not _is_simo(model):
-            raise AssumptionError("simo2-real requires n_tx == n_pilots == 1")
-        if dims.n_rx != 2:
-            raise AssumptionError("simo2-real requires n_rx == 2")
-        if np.abs(stats.sigma_ch.imag).max() > STRUCT_TOL:
-            raise AssumptionError("simo2-real requires a real channel covariance")
-        if np.abs(stats.sigma_ch.diagonal().real - 1.0).max() > STRUCT_TOL:
-            raise AssumptionError("simo2-real requires a standardized covariance")
-        lin = mmse_linear_operator(stats, model)
-        return Estimate(h_hat=lin(obs), estimator="mmse-closed",
-                        pr_r=_pr_linear(stats, model, lin, obs))
-    raise DomainError(f"unknown special case {case!r}")
 
 
 def tx_covariance(sigma_ch, dims):
@@ -328,10 +220,26 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
 
 
 # ---------------------------------------------------------------------------
-# general path and dispatch
+# posterior mean
 
 
-def _mmse_general(stats, model, obs, rel_tol, max_samples, seed, use_closed_forms):
+def mmse_estimate(stats, model, obs, rel_tol=1e-4, max_samples=10_000_000,
+                  method="auto", seed=0, use_closed_forms=True):
+    """Exact posterior-mean channel estimate from a sign pattern.
+
+    method="auto" takes the vectorized closed form of the real
+    three-antenna single-input configuration when the statistics match
+    it, and otherwise the orthant reduction, labelled "mmse-closed" when
+    no orthant needed the numeric integrator; method="general" forces the
+    reduction and always labels it "mmse-general".  use_closed_forms=False
+    additionally makes the reduction integrate every orthant numerically,
+    for cross-validation of the closed forms.
+    """
+    _check_obs(stats, obs)
+    if method not in ("auto", "general"):
+        raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
+    if method == "auto" and matches_simo3(stats, model):
+        return mmse_simo3(stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs)
     res = positive_orthant_mean(
         build_c(stats, obs),
         rel_tol=rel_tol,
@@ -344,30 +252,6 @@ def _mmse_general(stats, model, obs, rel_tol, max_samples, seed, use_closed_form
     h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
     _, logdet = np.linalg.slogdet(stats.omega_b)
     pr = res.normalizer / (np.pi**t * math.exp(logdet))
-    return Estimate(h_hat=h_hat, estimator="mmse-general", pr_r=float(pr))
-
-
-def mmse_estimate(stats, model, obs, rel_tol=1e-4, max_samples=10_000_000,
-                  method="auto", seed=0, use_closed_forms=True):
-    """Exact posterior-mean channel estimate from a sign pattern.
-
-    method="auto" dispatches to an exact closed form whenever the
-    configuration structurally matches one (detected from the statistics,
-    not from caller-supplied tags) and otherwise evaluates the general
-    orthant reduction; method="general" forces the general path.
-    use_closed_forms=False additionally makes the general path integrate
-    every orthant numerically, for cross-validation of the closed forms.
-    """
-    _check_obs(stats, obs)
-    if method not in ("auto", "general"):
-        raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
-    if method == "auto":
-        lin = mmse_linear_operator(stats, model)
-        if lin is not None:
-            return Estimate(h_hat=lin(obs), estimator="mmse-closed",
-                            pr_r=_pr_linear(stats, model, lin, obs))
-        if matches_simo3(stats, model):
-            return mmse_simo3(
-                stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs
-            )
-    return _mmse_general(stats, model, obs, rel_tol, max_samples, seed, use_closed_forms)
+    closed = method == "auto" and res.method == "closed-form"
+    return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
+                    pr_r=float(pr))

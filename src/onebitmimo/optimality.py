@@ -36,26 +36,19 @@ class OptimalityVerdict:
 def is_blmmse_optimal(stats, eps=1e-10):
     """Check whether the linear estimator equals the posterior mean.
 
-    eps is relative to the largest off-diagonal magnitude of the inverse
-    observation covariance; entries above eps * that reference count as
-    couplings.  When the verdict is False the witness names a row of C
-    with two couplings and their magnitudes, so near-threshold calls can
-    be judged by the caller.
+    eps is relative to the largest entry magnitude of the inverse
+    observation covariance; off-diagonal entries above eps * that scale
+    count as couplings, so rounding noise in an exactly diagonal inverse
+    does not.  When the verdict is False the witness names a row of C with
+    two couplings and their magnitudes, so near-threshold calls can be
+    judged by the caller.
     """
     t = stats.d_r.shape[0]
     off_dr = np.abs(stats.d_r).copy()
     np.fill_diagonal(off_dr, 0.0)
     off_di = np.abs(stats.d_i).copy()
     np.fill_diagonal(off_di, 0.0)
-
-    # All off-diagonals at rounding-noise level means C is diagonal.
-    entry_scale = max(np.abs(stats.omega_inv).max(), np.finfo(float).tiny)
-    noise_floor = 100.0 * t * np.finfo(float).eps * entry_scale
-    reference = max(off_dr.max(), off_di.max())
-    if reference <= noise_floor:
-        return OptimalityVerdict(optimal=True, witness=None, threshold=noise_floor)
-
-    threshold = eps * reference
+    threshold = eps * np.abs(stats.omega_inv).max()
     # Magnitude pattern of C: row i of the real block couples to column l
     # through |d_r[i, l]| and to column t + l through |d_i[i, l]|; the
     # imaginary block mirrors it, so one pass over the rows suffices.

@@ -203,11 +203,9 @@ def _resolve_estimator(name, stats, model, rel_tol):
     """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat."""
     if name == "blmmse":
         w = blmmse_operator(stats, model)
-        return lambda rr, ri: (rr + 1j * ri) @ w.T
-
-    lin = mmse_linear_operator(stats, model)
-    if lin is not None:
-        w = lin.matrix
+    else:
+        w = mmse_linear_operator(stats, model)
+    if w is not None:
         return lambda rr, ri: (rr + 1j * ri) @ w.T
     if matches_simo3(stats, model):
         sigma = stats.sigma_ch.real

@@ -2,8 +2,10 @@
 three-antenna nonlinear closed form, and the general orthant path.
 
 The decisive checks are pairwise agreements between independently derived
-routes: closed forms against the general reduction, and the general
-reduction with closed orthant forms against the purely numeric integrator.
+routes: hand-derived closed forms (written out here) against the
+estimators, the three-antenna closed form against the general reduction,
+and the general reduction with closed orthant forms against the purely
+numeric integrator.
 """
 
 import math
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from onebitmimo import (
-    AssumptionError,
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
@@ -22,7 +23,6 @@ from onebitmimo import (
     build_pilot_model,
     build_pilots,
     exponential_covariance,
-    linear_mmse_special_case,
     mmse_estimate,
     mmse_linear_operator,
     mmse_simo3,
@@ -35,8 +35,6 @@ from onebitmimo import (
 from onebitmimo.estimators import matches_simo3
 from onebitmimo.model import SystemDims
 from onebitmimo.simulate import build_covariance
-
-from onebitmimo.channel_models import bessel_tx_covariance
 
 LINEAR_TOL = 1e-9
 
@@ -68,6 +66,42 @@ def simo_setup(sigma, pilot=2.0 + 0.0j, nv=1.0):
     model = build_pilot_model(np.array([[pilot]]), sigma.shape[0])
     stats = second_order_stats(model, sigma, nv)
     return stats, model
+
+
+def closed_form_operator(case, model, sigma, nv):
+    """Hand-derived exact linear MMSE map W (h_hat = W r) of each linear case.
+
+    uncorrelated-unitary: identity covariance, S S^H = eta I.
+    tx-only-correlation: sigma = kron(sigma_tx, I), pilots S = sqrt(eta) U^H
+    with U the eigenvectors of sigma_tx.
+    simo2-real: one pilot s, two antennas, real unit-diagonal covariance.
+    """
+    s_mat = model.pilots
+    n_rx = model.dims.n_rx
+    eta = (s_mat @ s_mat.conj().T)[0, 0].real
+    if case == "uncorrelated-unitary":
+        return np.kron(s_mat.conj().T, np.eye(n_rx)) / math.sqrt(math.pi * (eta + nv))
+    if case == "tx-only-correlation":
+        sigma_tx = sigma[::n_rx, ::n_rx]
+        xi = np.diag(s_mat @ sigma_tx @ s_mat.conj().T).real / eta
+        gains = xi * math.sqrt(eta) / np.sqrt(eta * xi + nv)
+        u = s_mat.conj().T / math.sqrt(eta)
+        return np.kron(u * gains[None, :], np.eye(n_rx)) / math.sqrt(math.pi)
+    assert case == "simo2-real"
+    s = s_mat[0, 0]
+    denom = abs(s) ** 2 + nv
+    t_off = (2.0 / math.pi) * math.asin(sigma[0, 1].real * abs(s) ** 2 / denom)
+    t_mat = np.array([[1.0, t_off], [t_off, 1.0]])
+    return np.conj(s) * sigma.real @ np.linalg.inv(t_mat) / math.sqrt(math.pi * denom)
+
+
+def simo2_pattern_probability(sigma, s, nv, obs):
+    """Pr(r) of the real two-antenna case: the real and imaginary sign pairs
+    are independent bivariate orthant events with the arcsine law."""
+    beta = sigma[0, 1].real * abs(s) ** 2 / (abs(s) ** 2 + nv)
+    p_x = 0.25 + math.asin(obs.r_real[0] * obs.r_real[1] * beta) / (2.0 * math.pi)
+    p_y = 0.25 + math.asin(obs.r_imag[0] * obs.r_imag[1] * beta) / (2.0 * math.pi)
+    return p_x * p_y
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +160,9 @@ def test_blmmse_scalar_operator_value():
 def test_blmmse_operator_equals_linear_mmse_when_optimal():
     # two receive antennas, real standardized covariance
     stats, model = simo_setup(exponential_covariance(2, 0.65))
-    lin = mmse_linear_operator(stats, model)
-    assert lin is not None and lin.kind == "simo2-real"
-    np.testing.assert_allclose(blmmse_operator(stats, model), lin.matrix, atol=1e-13)
+    w = mmse_linear_operator(stats, model)
+    assert w is not None
+    np.testing.assert_allclose(blmmse_operator(stats, model), w, atol=1e-13)
 
 
 def test_linear_equivalence_uncorrelated_unitary():
@@ -184,10 +218,10 @@ def test_special_case_forms_match_dispatch():
     model = build_pilot_model(pilots, 2)
     stats = second_order_stats(model, np.eye(6, dtype=complex), 1.0)
     obs = sample_observations(stats, model, seed=11, count=1)[0]
-    direct = linear_mmse_special_case("uncorrelated-unitary", stats, model, obs)
+    direct = closed_form_operator("uncorrelated-unitary", model, stats.sigma_ch, 1.0) @ obs.r
     auto = mmse_estimate(stats, model, obs)
-    np.testing.assert_allclose(direct.h_hat, auto.h_hat, atol=1e-12)
-    assert direct.pr_r == pytest.approx(auto.pr_r, rel=1e-12)
+    np.testing.assert_allclose(direct, auto.h_hat, atol=1e-12)
+    assert auto.pr_r == pytest.approx(4.0 ** (-model.dims.obs_len), rel=1e-12)
 
     dims = SystemDims(n_tx=3, n_rx=2, n_pilots=3)
     sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.2}, dims)
@@ -195,36 +229,18 @@ def test_special_case_forms_match_dispatch():
     model = build_pilot_model(pilots, 2)
     stats = second_order_stats(model, sigma, 1.0)
     obs = sample_observations(stats, model, seed=12, count=1)[0]
-    direct = linear_mmse_special_case("tx-only-correlation", stats, model, obs)
+    direct = closed_form_operator("tx-only-correlation", model, sigma, 1.0) @ obs.r
     auto = mmse_estimate(stats, model, obs)
-    np.testing.assert_allclose(direct.h_hat, auto.h_hat, atol=1e-12)
+    np.testing.assert_allclose(direct, auto.h_hat, atol=1e-12)
 
-    stats, model = simo_setup(exponential_covariance(2, 0.4))
+    sigma = exponential_covariance(2, 0.4)
+    stats, model = simo_setup(sigma)
     obs = sample_observations(stats, model, seed=13, count=1)[0]
-    direct = linear_mmse_special_case("simo2-real", stats, model, obs)
+    direct = closed_form_operator("simo2-real", model, sigma, 1.0) @ obs.r
     auto = mmse_estimate(stats, model, obs)
-    np.testing.assert_allclose(direct.h_hat, auto.h_hat, atol=1e-12)
-    assert direct.pr_r == pytest.approx(auto.pr_r, rel=1e-12)
-
-
-def test_special_case_assumption_errors():
-    stats, model = simo_setup(exponential_covariance(3, 0.5))
-    obs = observation_from_signs(np.ones(3), np.ones(3))
-    with pytest.raises(AssumptionError, match="n_rx == 2"):
-        linear_mmse_special_case("simo2-real", stats, model, obs)
-    with pytest.raises(AssumptionError, match="identity channel covariance"):
-        linear_mmse_special_case("uncorrelated-unitary", stats, model, obs)
-    with pytest.raises(DomainError, match="unknown special case"):
-        linear_mmse_special_case("bogus", stats, model, obs)
-
-    # correct covariance but pilots off the eigenbasis
-    sigma_tx = bessel_tx_covariance(2, 0.5, np.pi / 6, 0.3)
-    sigma = np.kron(sigma_tx, np.eye(1))
-    model = build_pilot_model(2.0 * np.eye(2, dtype=complex), 1)
-    stats = second_order_stats(model, sigma, 1.0)
-    obs = observation_from_signs(np.ones(2), np.ones(2))
-    with pytest.raises(AssumptionError, match="eigenbasis"):
-        linear_mmse_special_case("tx-only-correlation", stats, model, obs)
+    np.testing.assert_allclose(direct, auto.h_hat, atol=1e-12)
+    pr = simo2_pattern_probability(sigma, model.pilots[0, 0], 1.0, obs)
+    assert auto.pr_r == pytest.approx(pr, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +375,20 @@ def test_scalar_pattern_probability_is_quarter():
 
 
 def test_completeness_closed_configs():
-    """Sign-pattern probabilities sum to 1 and the probability-weighted
-    estimates sum to 0 (the prior mean)."""
+    """Sign-pattern probabilities sum to 1, the probability-weighted
+    estimates sum to 0 (the prior mean), and every estimate is exact."""
+    # a 1x3 real covariance with a non-unit diagonal matches neither the
+    # three-antenna closed form nor the optimality verdict, yet C splits
+    # into two 3x3 blocks that the reduction solves by closed forms
+    scale = np.sqrt([2.0, 1.0, 0.5])
+    unstandardized = simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :])
+    assert mmse_linear_operator(*unstandardized) is None
+    assert not matches_simo3(*unstandardized)
     cases = [
         scalar_setup(eta=5.0),
         simo_setup(exponential_covariance(2, 0.8)),
         simo_setup(exponential_covariance(3, 0.6), pilot=1.0 + 0.0j),
+        unstandardized,
     ]
     for stats, model in cases:
         t = model.dims.obs_len
@@ -372,6 +396,7 @@ def test_completeness_closed_configs():
         accum = np.zeros(model.dims.channel_len, dtype=complex)
         for obs in all_sign_patterns(t):
             est = mmse_estimate(stats, model, obs)
+            assert est.estimator == "mmse-closed"
             total += est.pr_r
             accum += est.pr_r * est.h_hat
         assert abs(total - 1.0) < 1e-12

@@ -7,11 +7,13 @@ when it fails.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from onebitmimo import (
+    build_point,
     blmmse_estimate,
     build_pilot_model,
     build_pilots,
@@ -21,8 +23,11 @@ from onebitmimo import (
     observation_from_signs,
     second_order_stats,
 )
+from onebitmimo.config import load_sweep_config
 from onebitmimo.model import SystemDims
 from onebitmimo.simulate import build_covariance
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def simo_stats(sigma, pilot=2.0 + 0.0j, nv=1.0):
@@ -76,6 +81,13 @@ def test_eigenbasis_pilots_restore_optimality():
     unaligned = build_pilots({"kind": "scaled-unitary"}, dims, 5.0, 1.0)
     model = build_pilot_model(unaligned, 2)
     assert not is_blmmse_optimal(second_order_stats(model, sigma, 1.0)).optimal
+
+    # the shipped eight-antenna eigenbasis sweep: Omega^{-1} is diagonal up
+    # to rounding noise, which must not count as coupling at any SNR
+    cfg = load_sweep_config(os.path.join(CONFIGS, "transmit_correlated.yaml"))
+    for snr_db in cfg.snr_grid_db:
+        stats, _ = build_point(cfg, snr_db)
+        assert is_blmmse_optimal(stats).optimal, snr_db
 
 
 def test_noise_floor_coupling_ignored():
