@@ -13,10 +13,10 @@ from .estimators import (
     Estimate,
     blmmse_estimate,
     blmmse_operator,
-    build_c,
     mmse_estimate,
     mmse_linear_operator,
     mmse_simo3,
+    sign_covariance,
     simo3_closed_batch,
 )
 from .exceptions import (

@@ -19,7 +19,7 @@ import yaml
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
 from .exceptions import DomainError
-from .model import hermitian_inverse, sample_realization
+from .model import COUPLING_TOL, sample_realization
 from .optimality import is_blmmse_optimal
 from .orthant import orthant_probability, positive_orthant_mean
 from .quantizer import observation_from_signs, quantize
@@ -135,9 +135,8 @@ def _cmd_orthant(args):
     )
     print(f"orthant probability: {prob:.12g}")
     if args.mean:
-        c = 0.5 * hermitian_inverse(psi.astype(complex), "psi").real
         res = positive_orthant_mean(
-            c, rel_tol=args.rel_tol, max_samples=args.max_samples, seed=args.seed
+            psi, rel_tol=args.rel_tol, max_samples=args.max_samples, seed=args.seed
         )
         print(f"truncated mean ({res.method}):")
         for i, v in enumerate(res.mean):
@@ -169,9 +168,9 @@ def build_parser():
     p_opt = sub.add_parser("check-optimality",
                            help="check whether the linear estimator is exactly optimal")
     p_opt.add_argument("--config", required=True, help="YAML config file")
-    p_opt.add_argument("--eps", type=float, default=1e-10,
+    p_opt.add_argument("--eps", type=float, default=COUPLING_TOL,
                        help="coupling threshold, relative to the largest entry "
-                            "of the inverse observation covariance (default 1e-10)")
+                            f"of the inverse observation covariance (default {COUPLING_TOL:g})")
     p_opt.set_defaults(func=_cmd_check_optimality)
 
     p_orth = sub.add_parser("orthant",

@@ -4,17 +4,19 @@ Two families:
 
 * ``blmmse_estimate`` is the best estimator that is linear in the sign
   vector r; it inverts the arcsine-law correlation of r and is cheap.
-* ``mmse_estimate`` is the exact posterior mean.  Conditioned on r the
-  scaled observation lives in a positive orthant with precision matrix C
-  (built by ``build_c``), and the posterior mean reduces to orthant
-  probabilities of dimension one lower; coupled blocks of C of size at
-  most three are solved exactly by arcsine closed forms.  The real
+* ``mmse_estimate`` is the exact posterior mean.  The sign-folded
+  observation x = Diag(r) [Re b; Im b] is N(0, S) with S built by
+  ``sign_covariance``, and the sign pattern r is the event x > 0.  So
+  Pr(r) is the orthant probability P(S), and E[x | x > 0], from which the
+  posterior mean follows linearly, reduces to orthant probabilities of
+  dimension one lower (Tallis 1961); coupled blocks of S of size at most
+  three are solved exactly by arcsine closed forms.  The real
   three-antenna single-input configuration has a dedicated vectorized
   closed form.
 
-The two coincide exactly when C carries at most one off-diagonal coupling
-per row (see :mod:`onebitmimo.optimality`); every block of C is then
-closed-form.
+The two coincide exactly when the precision matrix C = S^{-1}/2 carries at
+most one off-diagonal coupling per row (see :mod:`onebitmimo.optimality`);
+every block of S then has size at most two and is closed-form.
 """
 
 import math
@@ -56,29 +58,21 @@ def _check_obs(stats, obs):
         )
 
 
-def build_c(stats, obs):
-    """Precision matrix C of the sign-folded observation for one sign pattern.
+def sign_covariance(stats, obs):
+    """Covariance S of the sign-folded observation x = Diag(r) [Re b; Im b]
+    for one sign pattern.
 
-    With D_R + 1j D_I the inverse observation covariance and
-    L_R = Diag(Re r), L_I = Diag(Im r) the sign diagonals, C is the
-    2 tau N_R real symmetric PD matrix
+    With L = Diag([Re r; Im r]), S is the 2 tau N_R real symmetric PD matrix
 
-        [[L_R D_R L_R,  L_R D_I^T L_I],
-         [L_I D_I L_R,  L_I D_R L_I]].
+        (1/2) L [[Re Omega, -Im Omega], [Im Omega, Re Omega]] L,
+
+    and the sign pattern r is the event x > 0.
     """
     _check_obs(stats, obs)
-    rr = obs.r_real
-    ri = obs.r_imag
-    top = np.hstack([np.outer(rr, rr) * stats.d_r, np.outer(rr, ri) * stats.d_i.T])
-    bot = np.hstack([np.outer(ri, rr) * stats.d_i, np.outer(ri, ri) * stats.d_r])
-    c = np.vstack([top, bot])
-    c = (c + c.T) / 2.0
-    w = np.linalg.eigvalsh(c)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"precision matrix C is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    return c
+    om = stats.omega_b
+    signs = np.concatenate([obs.r_real, obs.r_imag])
+    cov = 0.5 * np.block([[om.real, -om.imag], [om.imag, om.real]])
+    return signs[:, None] * cov * signs[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +218,26 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
 
 
 def mmse_estimate(stats, model, obs, rel_tol=1e-4, max_samples=10_000_000,
-                  method="auto", seed=0, use_closed_forms=True):
+                  method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
     method="auto" takes the vectorized closed form of the real
     three-antenna single-input configuration when the statistics match
-    it, and otherwise the orthant reduction, labelled "mmse-closed" when
-    no orthant needed the numeric integrator; method="general" forces the
-    reduction and always labels it "mmse-general".  use_closed_forms=False
-    additionally makes the reduction integrate every orthant numerically,
-    for cross-validation of the closed forms.
+    it, and otherwise the orthant reduction over the sign-folded
+    covariance S, labelled "mmse-closed" when no orthant needed the
+    numeric integrator; method="general" forces the reduction and always
+    labels it "mmse-general".
     """
     _check_obs(stats, obs)
     if method not in ("auto", "general"):
         raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
     if method == "auto" and matches_simo3(stats, model):
         return mmse_simo3(stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs)
-    res = positive_orthant_mean(
-        build_c(stats, obs),
-        rel_tol=rel_tol,
-        max_samples=max_samples,
-        seed=seed,
-        use_closed_forms=use_closed_forms,
-    )
+    res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol,
+                                max_samples=max_samples, seed=seed)
     t = stats.omega_b.shape[0]
     folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]
     h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
-    _, logdet = np.linalg.slogdet(stats.omega_b)
-    pr = res.normalizer / (np.pi**t * math.exp(logdet))
     closed = method == "auto" and res.method == "closed-form"
     return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
-                    pr_r=float(pr))
+                    pr_r=float(res.prob))

@@ -31,6 +31,12 @@ EIG_RATIO_FLOOR = 1e-12
 # Relative tolerance for symmetry / Hermitian-ness checks on inputs.
 SYMMETRY_TOL = 1e-12
 
+# Relative size at or below which an off-diagonal entry does not couple two
+# coordinates.  The optimality verdict measures entries of the inverse
+# observation covariance against its largest entry; the orthant layer
+# measures correlations and splits blocks across uncoupled coordinates.
+COUPLING_TOL = 1e-10
+
 _UINT64_MOD = 2**64
 
 # How sample_realizations turns (seed, trial) into normals; sweeps echo it in

@@ -1,7 +1,9 @@
 """Decide when the linear estimator is exactly optimal.
 
 The posterior mean is linear in the sign vector exactly when every row of
-the orthant precision matrix C couples to at most one other coordinate.
+the orthant precision matrix C = S^{-1}/2 couples to at most one other
+coordinate, where S is the covariance of the sign-folded observation
+(estimators.sign_covariance).
 Sign flips only change signs of entries of C, never which entries are
 non-zero, so the verdict depends on the magnitude pattern of the inverse
 observation covariance alone and holds for every observation at once.
@@ -10,6 +12,8 @@ observation covariance alone and holds for every observation at once.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import COUPLING_TOL
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class OptimalityVerdict:
     threshold: float
 
 
-def is_blmmse_optimal(stats, eps=1e-10):
+def is_blmmse_optimal(stats, eps=COUPLING_TOL):
     """Check whether the linear estimator equals the posterior mean.
 
     eps is relative to the largest entry magnitude of the inverse

@@ -4,16 +4,17 @@ Two quantities drive the optimal estimator: the orthant probability
 
     P(psi) = Pr[u > 0],  u ~ N(0, psi),
 
-and the first moment of exp(-z^T C z) restricted to the positive orthant.
-P has exact arcsine closed forms up to dimension 3; beyond that it is
-integrated with the Genz-Bretz method: the Cholesky factor is built with
-variable reordering (the least likely coordinate conditioned first), and
-the sequential-conditioning integrand is averaged over randomly shifted
-copies of a rank-1 lattice rule whose generating vector comes from the
-fast component-by-component (CBC) construction of Nuyens and Cools.  The
-spread over the shifts gives an error estimate alongside the value.  The
-first moment is reduced to a vector of one-dimension-lower orthant
-probabilities, so it inherits whichever path those take.
+and the truncated mean E[u | u > 0]; the estimator takes psi to be the
+covariance S of the sign-folded observation.  P has exact arcsine closed
+forms up to dimension 3; beyond that it is integrated with the Genz-Bretz
+method: the Cholesky factor is built with variable reordering (the least
+likely coordinate conditioned first), and the sequential-conditioning
+integrand is averaged over randomly shifted copies of a rank-1 lattice
+rule whose generating vector comes from the fast component-by-component
+(CBC) construction of Nuyens and Cools.  The spread over the shifts gives
+an error estimate alongside the value.  The truncated mean is reduced to
+a vector of one-dimension-lower orthant probabilities of conditional
+covariances (Tallis 1961), so it inherits whichever path those take.
 
 Plain Monte Carlo estimators (`orthant_probability_mc`,
 `positive_orthant_mean_mc`) are kept as independent oracles for tests.
@@ -33,7 +34,7 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import _philox, below_eig_floor, check_hermitian
+from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian
 
 # Largest dimension the quasi-random integrator will attempt.  Block-diagonal
 # inputs are split first, so only the largest coupled block counts.
@@ -94,33 +95,16 @@ def _closed_orthant(corr):
     raise DimensionError(f"no closed form for dimension {n}")
 
 
-def _components(pattern):
-    """Connected components of the coupling graph of a symmetric matrix."""
-    n = pattern.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for k in np.nonzero(pattern[i])[0]:
-                if not seen[k]:
-                    seen[k] = True
-                    stack.append(int(k))
-        comps.append(sorted(comp))
-    return comps
-
-
 def _coupling_components(m):
-    scale = np.abs(m).max()
-    pattern = np.abs(m) > 1e-12 * scale
-    np.fill_diagonal(pattern, False)
-    return _components(pattern)
+    """Connected components of the coupling graph of a PD matrix, each as
+    ascending indices, ordered by their smallest index.  i and k couple
+    when |m_ik| > COUPLING_TOL sqrt(m_ii m_kk), a correlation threshold."""
+    d = np.sqrt(m.diagonal())
+    reach = np.abs(m) > COUPLING_TOL * np.outer(d, d)
+    # square the reachability matrix until it covers paths of length n - 1
+    for _ in range((m.shape[0] - 1).bit_length()):
+        reach = (reach.astype(np.int64) @ reach) > 0
+    return [np.flatnonzero(reach[i]) for i in range(m.shape[0]) if not reach[i, :i].any()]
 
 
 def _reordered_cholesky(corr):
@@ -280,20 +264,14 @@ def _integrand_sum(chol, pts):
     return float(prob.sum())
 
 
-def orthant_probability(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0,
-                        use_closed_forms=True):
+def orthant_probability(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
-    Dimensions 1..3 (after splitting uncoupled blocks) use the arcsine
-    closed forms exactly; larger coupled blocks go through the quasi-random
-    integrator at relative tolerance rel_tol.  With use_closed_forms=False
-    everything, including the block splitting, is bypassed and the full
-    matrix is integrated numerically; that path exists so the closed forms
-    can be cross-validated.
+    Uncoupled blocks are split off first; blocks of dimension 1..3 use the
+    arcsine closed forms exactly, larger coupled blocks go through the
+    quasi-random integrator at relative tolerance rel_tol.
     """
     corr, _ = standardize(psi)
-    if not use_closed_forms:
-        return _qmc_orthant(corr, rel_tol, max_samples, seed)[0]
     prob = 1.0
     for comp in _coupling_components(corr):
         sub = corr[np.ix_(comp, comp)]
@@ -306,83 +284,58 @@ def orthant_probability(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0,
 
 @dataclass(frozen=True)
 class TruncatedMeanResult:
-    """First moment of exp(-z^T C z) over the positive orthant.
+    """Positive-orthant moments of u ~ N(0, psi).
 
-    mean is the normalized truncated mean, normalizer the value of
-    integral exp(-z^T C z) dz over the orthant.  method records whether
-    every orthant subproblem was closed-form ("closed-form") or some went
-    through the numeric integrator ("reduction").
+    mean is E[u | u > 0] and prob is P(u > 0).  method records whether
+    every coupled block was small enough for closed forms ("closed-form")
+    or some went through the numeric integrator ("reduction").
     """
 
     mean: np.ndarray
-    normalizer: float
+    prob: float
     method: str
 
 
-def _minor_inverse(cinv, k):
-    """Inverse of C with row/column k removed, from C^{-1} alone.
-
-    Uses the Schur-complement identity (C_{-k})^{-1} =
-    E - f f^T / g where [[E, f], [f^T, g]] partitions C^{-1} around k.
-    """
-    idx = np.delete(np.arange(cinv.shape[0]), k)
-    e = cinv[np.ix_(idx, idx)]
-    f = cinv[idx, k]
-    return e - np.outer(f, f) / cinv[k, k]
+def _conditional_covariance(psi, k):
+    """Covariance of the other coordinates of u ~ N(0, psi) given u_k = 0."""
+    idx = np.delete(np.arange(psi.shape[0]), k)
+    f = psi[idx, k]
+    return psi[np.ix_(idx, idx)] - np.outer(f, f) / psi[k, k]
 
 
-def _mean_single_block(c, rel_tol, max_samples, seed, use_closed_forms):
-    n = c.shape[0]
-    w, v = np.linalg.eigh(c)
-    cinv = (v / w) @ v.T
-    cinv = (cinv + cinv.T) / 2.0
-    det_c = float(np.prod(w))
+def _mean_single_block(psi, rel_tol, max_samples, seed):
+    """(E[u | u > 0], P(u > 0)) of one coupled block by Tallis (1961)."""
+    n = psi.shape[0]
     if n == 1:
-        cval = c[0, 0]
-        mean = np.array([1.0 / math.sqrt(np.pi * cval)])
-        return TruncatedMeanResult(
-            mean=mean, normalizer=0.5 * math.sqrt(np.pi / cval), method="closed-form"
-        )
-
-    kwargs = dict(rel_tol=rel_tol, max_samples=max_samples, use_closed_forms=use_closed_forms)
-    prob = orthant_probability(0.5 * cinv, seed=seed, **kwargs)
-    g = np.empty(n)
-    for k in range(n):
-        g[k] = orthant_probability(0.5 * _minor_inverse(cinv, k), seed=seed + k + 1, **kwargs)
-    mean = cinv @ (g / np.sqrt(cinv.diagonal())) / (2.0 * math.sqrt(np.pi) * prob)
-    normalizer = np.pi ** (n / 2.0) * prob / math.sqrt(det_c)
-    method = "closed-form" if use_closed_forms and n <= 3 else "reduction"
-    return TruncatedMeanResult(mean=mean, normalizer=normalizer, method=method)
+        return np.array([math.sqrt(2.0 * psi[0, 0] / np.pi)]), 0.5
+    kwargs = dict(rel_tol=rel_tol, max_samples=max_samples)
+    prob = orthant_probability(psi, seed=seed, **kwargs)
+    g = [orthant_probability(_conditional_covariance(psi, k), seed=seed + k + 1, **kwargs)
+         for k in range(n)]
+    return psi @ (g / np.sqrt(2.0 * np.pi * psi.diagonal())) / prob, prob
 
 
-def positive_orthant_mean(c, rel_tol=1e-4, max_samples=10_000_000, seed=0,
-                          use_closed_forms=True):
-    """Normalized first moment of exp(-z^T C z) over the positive orthant.
+def positive_orthant_mean(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
+    """Truncated mean E[u | u > 0] and probability P(u > 0) of u ~ N(0, psi).
 
-    The moment integral reduces to orthant probabilities of one dimension
-    less through the cofactor identity, so each coordinate costs one
-    orthant evaluation plus one for the shared normalizer.  Uncoupled
-    blocks of C factor the distribution and are solved independently
-    (unless use_closed_forms=False, which forces one full-dimension
-    numeric evaluation for cross-validation).
+    By Tallis (1961), E[u | u > 0] = psi g / P(psi) with
+    g_k = P(psi_k) / sqrt(2 pi psi_kk), where psi_k is the covariance of
+    the other coordinates given u_k = 0; each coordinate costs one orthant
+    probability of one dimension less, plus one for P(psi).  Uncoupled
+    blocks of psi factor the distribution and are solved independently,
+    block j with seeds offset by 1000 j.
     """
-    c = _validate_spd(c, "c")
-    if not use_closed_forms:
-        return _mean_single_block(c, rel_tol, max_samples, seed, use_closed_forms=False)
-    comps = _coupling_components(c)
-    if len(comps) == 1:
-        return _mean_single_block(c, rel_tol, max_samples, seed, use_closed_forms=True)
-    mean = np.empty(c.shape[0])
-    normalizer = 1.0
-    methods = set()
-    for j, comp in enumerate(comps):
-        sub = c[np.ix_(comp, comp)]
-        res = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j, use_closed_forms=True)
-        mean[comp] = res.mean
-        normalizer *= res.normalizer
-        methods.add(res.method)
-    method = "closed-form" if methods == {"closed-form"} else "reduction"
-    return TruncatedMeanResult(mean=mean, normalizer=normalizer, method=method)
+    psi = _validate_spd(psi, "psi")
+    mean = np.empty(psi.shape[0])
+    prob = 1.0
+    closed = True
+    for j, comp in enumerate(_coupling_components(psi)):
+        sub = psi[np.ix_(comp, comp)]
+        mean[comp], p = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j)
+        prob *= p
+        closed = closed and len(comp) <= 3
+    return TruncatedMeanResult(mean=mean, prob=prob,
+                               method="closed-form" if closed else "reduction")
 
 
 def truncated_mean_cf_2d(psi):
@@ -424,17 +377,15 @@ def orthant_probability_mc(psi, n_samples, seed=0, chunk=2_000_000):
     return p, math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
 
 
-def positive_orthant_mean_mc(c, n_samples, seed=0, chunk=1_000_000):
-    """Rejection-sampling estimate of the truncated first moment.
+def positive_orthant_mean_mc(psi, n_samples, seed=0, chunk=1_000_000):
+    """Rejection-sampling estimate of the truncated mean E[u | u > 0].
 
-    Samples N(0, C^{-1}/2), keeps draws in the positive orthant and
+    Samples u ~ N(0, psi), keeps draws in the positive orthant and
     averages.  Returns (mean, standard_errors, n_accepted).
     """
-    c = _validate_spd(c, "c")
-    n = c.shape[0]
-    wv, v = np.linalg.eigh(c)
-    psi = 0.5 * ((v / wv) @ v.T)
-    chol = np.linalg.cholesky((psi + psi.T) / 2.0)
+    psi = _validate_spd(psi, "psi")
+    n = psi.shape[0]
+    chol = np.linalg.cholesky(psi)
     rng = np.random.Generator(_philox(seed, 2))
     n_samples = int(n_samples)
     total = np.zeros(n)

@@ -110,6 +110,16 @@ def test_orthant_yaml_matrix_with_mean(tmp_path, capsys):
     np.testing.assert_allclose(vals, np.sqrt(2.0 / np.pi), atol=1e-12)
 
 
+def test_orthant_mean_reads_a_covariance(tmp_path, capsys):
+    # u ~ N(0, psi) with unit variances and correlation 1/2: P(u > 0) = 1/3
+    # and E[u_i 1{u > 0}] = (1 + 1/2) / (2 sqrt(2 pi))
+    mat = write(tmp_path, "1.0 0.5\n0.5 1.0\n", "psi.txt")
+    assert main(["orthant", "--matrix", mat, "--mean"]) == 0
+    text = capsys.readouterr().out
+    vals = [float(ln.split()[-1]) for ln in text.strip().split("\n")[-2:]]
+    np.testing.assert_allclose(vals, 3.0 * 1.5 / (2.0 * np.sqrt(2.0 * np.pi)), atol=1e-12)
+
+
 def test_missing_file_reports_error(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.yaml"), "--out", "x"])
     assert code == 1

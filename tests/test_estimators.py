@@ -1,4 +1,4 @@
-"""Estimators: precision matrix assembly, linear closed forms, the
+"""Estimators: the sign-folded covariance S, linear closed forms, the
 three-antenna nonlinear closed form, and the general orthant path.
 
 The decisive checks are pairwise agreements between independently derived
@@ -19,10 +19,10 @@ from onebitmimo import (
     NotPositiveDefiniteError,
     blmmse_estimate,
     blmmse_operator,
-    build_c,
     build_pilot_model,
     build_pilots,
     exponential_covariance,
+    is_blmmse_optimal,
     mmse_estimate,
     mmse_linear_operator,
     mmse_simo3,
@@ -30,11 +30,14 @@ from onebitmimo import (
     quantize,
     sample_realizations,
     second_order_stats,
+    sign_covariance,
     simo3_closed_batch,
 )
 from onebitmimo.estimators import matches_simo3
 from onebitmimo.model import SystemDims
 from onebitmimo.simulate import build_covariance
+
+from numeric_oracle import numeric_mmse
 
 LINEAR_TOL = 1e-9
 
@@ -105,16 +108,16 @@ def simo2_pattern_probability(sigma, s, nv, obs):
 
 
 # ---------------------------------------------------------------------------
-# precision matrix
+# sign-folded covariance
 
 
-def test_build_c_scalar():
+def test_sign_covariance_scalar():
     stats, _ = scalar_setup(eta=1.0, nv=1.0)  # omega = [[2]]
     for obs in all_sign_patterns(1):
-        np.testing.assert_allclose(build_c(stats, obs), 0.5 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(sign_covariance(stats, obs), np.eye(2), atol=1e-15)
 
 
-def test_build_c_matches_dense_sign_conjugation():
+def test_sign_covariance_inverts_to_the_precision_matrix():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     sigma = a @ a.conj().T / 4 + np.eye(4)
@@ -124,6 +127,7 @@ def test_build_c_matches_dense_sign_conjugation():
     obs = observation_from_signs(
         np.array([1.0, -1.0, -1.0, 1.0]), np.array([-1.0, 1.0, 1.0, 1.0])
     )
+    # the paper's precision matrix C of the sign-folded observation
     lam_r = np.diag(obs.r_real)
     lam_i = np.diag(obs.r_imag)
     expect = np.block(
@@ -132,16 +136,17 @@ def test_build_c_matches_dense_sign_conjugation():
             [lam_i @ stats.d_i @ lam_r, lam_i @ stats.d_r @ lam_i],
         ]
     )
-    c = build_c(stats, obs)
-    np.testing.assert_allclose(c, expect, atol=1e-14)
-    assert np.linalg.eigvalsh(c).min() > 0.0
+    s = sign_covariance(stats, obs)
+    np.testing.assert_array_equal(s, s.T)
+    assert np.linalg.eigvalsh(s).min() > 0.0
+    np.testing.assert_allclose(0.5 * np.linalg.inv(s), expect, atol=1e-14)
 
 
-def test_build_c_rejects_wrong_length():
+def test_sign_covariance_rejects_wrong_length():
     stats, _ = scalar_setup()
     obs = observation_from_signs(np.ones(2), np.ones(2))
     with pytest.raises(DimensionError):
-        build_c(stats, obs)
+        sign_covariance(stats, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +217,21 @@ def test_linear_equivalence_two_antenna_simo():
             assert np.abs(opt.h_hat - lin.h_hat).max() < LINEAR_TOL
 
 
+def test_sub_threshold_couplings_stay_closed_and_linear():
+    # couplings the optimality verdict ignores must also be split off by the
+    # orthant layer, so the posterior mean takes the closed path
+    sigma = np.eye(4, dtype=complex)
+    for i, k in ((0, 1), (1, 2), (2, 3), (0, 2)):
+        sigma[i, k] = sigma[k, i] = 3e-11
+    stats, model = simo_setup(sigma)
+    assert is_blmmse_optimal(stats).optimal
+    for obs in all_sign_patterns(4):
+        opt = mmse_estimate(stats, model, obs)
+        lin = blmmse_estimate(stats, model, obs)
+        assert opt.estimator == "mmse-closed"
+        assert np.abs(opt.h_hat - lin.h_hat).max() < LINEAR_TOL
+
+
 def test_special_case_forms_match_dispatch():
     eta = 7.0
     pilots = math.sqrt(eta) * np.eye(3, dtype=complex)
@@ -276,12 +296,10 @@ def test_simo3_matches_numeric_integration():
         np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0])
     )
     closed = mmse_estimate(stats, model, obs)
-    numeric = mmse_estimate(
-        stats, model, obs, method="general", use_closed_forms=False, seed=4
-    )
+    numeric_h, numeric_pr = numeric_mmse(stats, model, obs, seed=4)
     scale = np.abs(closed.h_hat).max()
-    assert np.abs(closed.h_hat - numeric.h_hat).max() < 1e-3 * scale
-    assert numeric.pr_r == pytest.approx(closed.pr_r, rel=1e-3)
+    assert np.abs(closed.h_hat - numeric_h).max() < 1e-3 * scale
+    assert numeric_pr == pytest.approx(closed.pr_r, rel=1e-3)
 
 
 def test_simo3_batch_agrees_with_single_calls():
@@ -362,6 +380,40 @@ def test_general_odd_symmetry():
     b = mmse_estimate(stats, model, flipped)
     np.testing.assert_allclose(b.h_hat, -a.h_hat, atol=1e-13)
     assert b.pr_r == pytest.approx(a.pr_r, rel=1e-13)
+
+
+def rotated(obs):
+    """The sign pattern j r: (r_real, r_imag) -> (-r_imag, r_real)."""
+    return observation_from_signs(-obs.r_imag, obs.r_real)
+
+
+def test_rotation_invariance_closed_configs():
+    # h_hat(j r) = j h_hat(r) and Pr(j r) = Pr(r): b -> j b preserves the
+    # circular prior, so the invariant is exact wherever no integrator runs
+    scale = np.sqrt([2.0, 1.0, 0.5])
+    cases = [
+        scalar_setup(eta=5.0),
+        simo_setup(exponential_covariance(3, 0.6), pilot=1.0 + 0.0j),
+        simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]),
+    ]
+    for stats, model in cases:
+        for obs in all_sign_patterns(model.dims.obs_len):
+            a = mmse_estimate(stats, model, obs)
+            b = mmse_estimate(stats, model, rotated(obs))
+            assert b.estimator == a.estimator == "mmse-closed"
+            np.testing.assert_allclose(b.h_hat, 1j * a.h_hat, rtol=0.0, atol=1e-12)
+            assert b.pr_r == pytest.approx(a.pr_r, rel=1e-12)
+
+
+def test_rotation_invariance_numeric_config():
+    rel_tol = 1e-4
+    stats, model = general_complex_setup()
+    for obs in all_sign_patterns(2):
+        a = mmse_estimate(stats, model, obs, rel_tol=rel_tol, seed=2)
+        b = mmse_estimate(stats, model, rotated(obs), rel_tol=rel_tol, seed=2)
+        gap = np.abs(b.h_hat - 1j * a.h_hat).max() / np.abs(a.h_hat).max()
+        assert gap < 10.0 * rel_tol
+        assert b.pr_r == pytest.approx(a.pr_r, rel=10.0 * rel_tol)
 
 
 def test_scalar_pattern_probability_is_quarter():

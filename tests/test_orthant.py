@@ -16,18 +16,21 @@ from onebitmimo import (
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
-    build_c,
     observation_from_signs,
     orthant_probability,
     orthant_probability_mc,
     positive_orthant_mean,
     positive_orthant_mean_mc,
+    sign_covariance,
     standardize,
     truncated_mean_cf_2d,
 )
 from onebitmimo.config import sweep_config_from_dict
-from onebitmimo.orthant import MAX_QMC_DIM, arcsin_clamped
+from onebitmimo.model import COUPLING_TOL
+from onebitmimo.orthant import MAX_QMC_DIM, _coupling_components, arcsin_clamped
 from onebitmimo.simulate import build_point
+
+from numeric_oracle import numeric_orthant_mean, numeric_orthant_probability
 
 CLOSED_TOL = 1e-12
 
@@ -109,8 +112,23 @@ def test_block_diagonal_splits_exactly():
     )
     assert abs(orthant_probability(psi) - expect) < CLOSED_TOL
     # the split-free numeric path integrates the same matrix in full
-    p_numeric = orthant_probability(psi, use_closed_forms=False, seed=2)
+    p_numeric = numeric_orthant_probability(psi, seed=2)
     assert p_numeric == pytest.approx(expect, rel=1e-3)
+
+
+def test_coupling_components_follow_chains():
+    # chain couplings link the ends of a block only through every link; a
+    # coupling below COUPLING_TOL links nothing
+    rng = np.random.default_rng(61)
+    perm = rng.permutation(11)
+    blocks = [perm[:6], perm[6:7], perm[7:]]
+    m = np.eye(11)
+    for block in blocks:
+        for i, k in zip(block[:-1], block[1:]):
+            m[i, k] = m[k, i] = 0.3
+    m[blocks[0][0], blocks[2][0]] = m[blocks[2][0], blocks[0][0]] = 0.5 * COUPLING_TOL
+    expect = sorted(sorted(block.tolist()) for block in blocks)
+    assert [comp.tolist() for comp in _coupling_components(m)] == expect
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +141,7 @@ def test_qmc_matches_closed_forms():
         for _ in range(5):
             psi = random_correlation(n, rng)
             closed = orthant_probability(psi)
-            qmc = orthant_probability(psi, use_closed_forms=False, seed=9)
+            qmc = numeric_orthant_probability(psi, seed=9)
             assert qmc == pytest.approx(closed, rel=1e-3)
 
 
@@ -169,13 +187,13 @@ def test_numeric_path_matches_closed_forms_of_blocks():
     psi = np.zeros((6, 6))
     psi[:3, :3], psi[3:, 3:] = blocks
     expect = orthant_probability(blocks[0]) * orthant_probability(blocks[1])
-    p_numeric = orthant_probability(psi, use_closed_forms=False, seed=4)
+    p_numeric = numeric_orthant_probability(psi, seed=4)
     assert p_numeric == pytest.approx(expect, rel=1e-3)
 
 
 def order8_problem(r_real, r_imag):
-    """0.5 C^{-1} of one sign pattern of a 1 tx, 2 rx, tau = 2 complex config
-    at 10 dB: the order-8 orthant problem behind Pr(r)."""
+    """Sign-folded covariance S of one sign pattern of a 1 tx, 2 rx, tau = 2
+    complex config at 10 dB: the order-8 orthant problem behind Pr(r)."""
     idx = np.arange(2)
     lag = idx[:, None] - idx[None, :]
     sigma = 0.9 ** np.abs(lag) * np.exp(0.7j * lag)
@@ -191,7 +209,7 @@ def order8_problem(r_real, r_imag):
     }
     stats, _ = build_point(sweep_config_from_dict(raw), 10.0)
     obs = observation_from_signs(np.array(r_real, float), np.array(r_imag, float))
-    return 0.5 * np.linalg.inv(build_c(stats, obs))
+    return sign_covariance(stats, obs)
 
 
 # Patterns on which an unreordered Richtmyer lattice spent 10^7 evaluations
@@ -257,17 +275,17 @@ def test_arcsin_clamped():
 
 
 def test_mean_scalar_closed_form():
-    # exp(-c x^2) on x > 0 is a half normal with variance 1/(2c)
-    res = positive_orthant_mean(np.array([[1.0]]))
+    # u ~ N(0, 1/2) on u > 0 is a half normal with mean 1/sqrt(pi)
+    res = positive_orthant_mean(0.5 * np.linalg.inv([[1.0]]))
     assert res.method == "closed-form"
     assert abs(res.mean[0] - 1.0 / math.sqrt(math.pi)) < CLOSED_TOL
-    assert abs(res.normalizer - 0.5 * math.sqrt(math.pi)) < CLOSED_TOL
+    assert abs(res.prob - 0.5) < CLOSED_TOL
 
 
 def test_mean_independent_pair():
-    res = positive_orthant_mean(0.5 * np.eye(2))
+    res = positive_orthant_mean(0.5 * np.linalg.inv(0.5 * np.eye(2)))
     np.testing.assert_allclose(res.mean, math.sqrt(2.0 / math.pi), atol=CLOSED_TOL)
-    assert abs(res.normalizer - math.pi / 2.0) < CLOSED_TOL
+    assert abs(res.prob - 0.25) < CLOSED_TOL
 
 
 def test_mean_reduction_matches_bivariate_closed_form():
@@ -275,8 +293,7 @@ def test_mean_reduction_matches_bivariate_closed_form():
     for _ in range(20):
         rho = rng.uniform(-0.98, 0.98)
         psi = equicorrelated(2, rho)
-        c = 0.5 * np.linalg.inv(psi)
-        res = positive_orthant_mean(c)
+        res = positive_orthant_mean(psi)
         expect = truncated_mean_cf_2d(psi)[0] / orthant_probability(psi)
         np.testing.assert_allclose(res.mean, expect, atol=1e-10)
 
@@ -284,9 +301,9 @@ def test_mean_reduction_matches_bivariate_closed_form():
 def test_mean_matches_rejection_oracle():
     rng = np.random.default_rng(37)
     a = rng.standard_normal((4, 6))
-    c = a @ a.T / 6.0 + 0.5 * np.eye(4)
-    res = positive_orthant_mean(c, seed=3)
-    mc_mean, mc_se, kept = positive_orthant_mean_mc(c, 400_000, seed=8)
+    psi = 0.5 * np.linalg.inv(a @ a.T / 6.0 + 0.5 * np.eye(4))
+    res = positive_orthant_mean(psi, seed=3)
+    mc_mean, mc_se, kept = positive_orthant_mean_mc(psi, 400_000, seed=8)
     assert kept > 1000
     assert np.all(np.abs(res.mean - mc_mean) < 5.0 * mc_se + 1e-3 * res.mean)
 
@@ -295,25 +312,25 @@ def test_mean_block_splitting():
     c = np.zeros((3, 3))
     c[0, 0] = 2.0
     c[1:, 1:] = np.array([[1.0, 0.3], [0.3, 1.0]])
-    res = positive_orthant_mean(c)
+    psi = 0.5 * np.linalg.inv(c)
+    res = positive_orthant_mean(psi)
     assert res.method == "closed-form"
     assert abs(res.mean[0] - 1.0 / math.sqrt(2.0 * math.pi)) < CLOSED_TOL
-    sub = positive_orthant_mean(c[1:, 1:])
+    sub = positive_orthant_mean(psi[1:, 1:])
     np.testing.assert_allclose(res.mean[1:], sub.mean, atol=CLOSED_TOL)
-    scalar = positive_orthant_mean(c[:1, :1])
-    assert abs(res.normalizer - scalar.normalizer * sub.normalizer) < CLOSED_TOL
+    scalar = positive_orthant_mean(psi[:1, :1])
+    assert abs(res.prob - scalar.prob * sub.prob) < CLOSED_TOL
 
 
 def test_mean_numeric_path_agrees():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 5))
-    c = a @ a.T / 5.0 + 0.4 * np.eye(3)
-    closed = positive_orthant_mean(c)
-    numeric = positive_orthant_mean(c, use_closed_forms=False, seed=6)
+    psi = 0.5 * np.linalg.inv(a @ a.T / 5.0 + 0.4 * np.eye(3))
+    closed = positive_orthant_mean(psi)
+    numeric_mean, numeric_prob = numeric_orthant_mean(psi, seed=6)
     assert closed.method == "closed-form"
-    assert numeric.method == "reduction"
-    np.testing.assert_allclose(numeric.mean, closed.mean, rtol=2e-3)
-    assert numeric.normalizer == pytest.approx(closed.normalizer, rel=2e-3)
+    np.testing.assert_allclose(numeric_mean, closed.mean, rtol=2e-3)
+    assert numeric_prob == pytest.approx(closed.prob, rel=2e-3)
 
 
 def test_cf_2d_validation():
@@ -326,9 +343,8 @@ def test_cf_2d_validation():
 
 
 def test_rejection_oracle_needs_acceptances():
-    c = 0.5 * np.linalg.inv(equicorrelated(3, -0.49))
     with pytest.raises(AccuracyError):
-        positive_orthant_mean_mc(c, 4, seed=0)
+        positive_orthant_mean_mc(equicorrelated(3, -0.49), 4, seed=0)
 
 
 def test_counting_oracle_sanity():
@@ -342,7 +358,6 @@ def test_oracles_key_large_seeds_exactly():
     a = orthant_probability_mc(psi, 100_000, seed=2**63)
     b = orthant_probability_mc(psi, 100_000, seed=2**63 + 5)
     assert a[0] != b[0]
-    c = 0.5 * np.linalg.inv(psi)
-    mean_a = positive_orthant_mean_mc(c, 10_000, seed=2**63)[0]
-    mean_b = positive_orthant_mean_mc(c, 10_000, seed=2**63 + 5)[0]
+    mean_a = positive_orthant_mean_mc(psi, 10_000, seed=2**63)[0]
+    mean_b = positive_orthant_mean_mc(psi, 10_000, seed=2**63 + 5)[0]
     assert np.abs(mean_a - mean_b).max() > 0.0
