@@ -21,7 +21,6 @@ from .estimators import (
 )
 from .exceptions import (
     AccuracyError,
-    AssumptionError,
     CapabilityError,
     DimensionError,
     DomainError,
@@ -36,7 +35,6 @@ from .model import (
     sample_realization,
     sample_realizations,
     second_order_stats,
-    snr_of,
 )
 from .optimality import CouplingWitness, OptimalityVerdict, is_blmmse_optimal
 from .orthant import (
@@ -50,7 +48,6 @@ from .orthant import (
 )
 from .quantizer import (
     QuantizedObservation,
-    normalized_sign_covariance,
     observation_from_signs,
     quantize,
 )

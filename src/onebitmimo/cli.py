@@ -19,7 +19,7 @@ import yaml
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
 from .exceptions import DomainError
-from .model import COUPLING_TOL, sample_realization
+from .model import sample_realization
 from .optimality import is_blmmse_optimal
 from .orthant import orthant_probability, positive_orthant_mean
 from .quantizer import observation_from_signs, quantize
@@ -101,15 +101,15 @@ def _cmd_simulate(args):
 
 def _cmd_check_optimality(args):
     _, snr_db, stats, _ = _load_point(args.config)
-    verdict = is_blmmse_optimal(stats, eps=args.eps)
+    verdict = is_blmmse_optimal(stats)
     print(f"snr_db: {snr_db:g}")
     print(f"linear estimator optimal: {verdict.optimal}")
-    print(f"coupling threshold: {verdict.threshold:.3e}")
+    print(f"largest coupled block: {verdict.largest_block}")
     if verdict.witness is not None:
         w = verdict.witness
         print(
             f"witness: row {w.row} couples to columns {w.col_a} "
-            f"(|{w.magnitude_a:.6e}|) and {w.col_b} (|{w.magnitude_b:.6e}|)"
+            f"(|corr| {w.magnitude_a:.6e}) and {w.col_b} (|corr| {w.magnitude_b:.6e})"
         )
     return 0
 
@@ -168,9 +168,6 @@ def build_parser():
     p_opt = sub.add_parser("check-optimality",
                            help="check whether the linear estimator is exactly optimal")
     p_opt.add_argument("--config", required=True, help="YAML config file")
-    p_opt.add_argument("--eps", type=float, default=COUPLING_TOL,
-                       help="coupling threshold, relative to the largest entry "
-                            f"of the inverse observation covariance (default {COUPLING_TOL:g})")
     p_opt.set_defaults(func=_cmd_check_optimality)
 
     p_orth = sub.add_parser("orthant",

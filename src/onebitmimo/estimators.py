@@ -15,8 +15,9 @@ Two families:
   closed form.
 
 The two coincide exactly when the precision matrix C = S^{-1}/2 carries at
-most one off-diagonal coupling per row (see :mod:`onebitmimo.optimality`);
-every block of S then has size at most two and is closed-form.
+most one off-diagonal coupling per row.  C and S share their coupled
+blocks, so this is the condition that every block of S has size at most
+two (see :mod:`onebitmimo.optimality`); each such block is closed-form.
 """
 
 import math
@@ -29,7 +30,7 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import below_eig_floor, check_hermitian, hermitian_inverse
+from .model import below_eig_floor, check_hermitian, hermitian_inverse, real_form
 from .optimality import is_blmmse_optimal
 from .orthant import arcsin_clamped, positive_orthant_mean
 from .quantizer import arcsine_matrix
@@ -69,9 +70,8 @@ def sign_covariance(stats, obs):
     and the sign pattern r is the event x > 0.
     """
     _check_obs(stats, obs)
-    om = stats.omega_b
     signs = np.concatenate([obs.r_real, obs.r_imag])
-    cov = 0.5 * np.block([[om.real, -om.imag], [om.imag, om.real]])
+    cov = 0.5 * real_form(stats.omega_b)
     return signs[:, None] * cov * signs[None, :]
 
 
@@ -217,8 +217,7 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
 # posterior mean
 
 
-def mmse_estimate(stats, model, obs, rel_tol=1e-4, max_samples=10_000_000,
-                  method="auto", seed=0):
+def mmse_estimate(stats, model, obs, rel_tol=1e-4, method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
     method="auto" takes the vectorized closed form of the real
@@ -233,8 +232,7 @@ def mmse_estimate(stats, model, obs, rel_tol=1e-4, max_samples=10_000_000,
         raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
     if method == "auto" and matches_simo3(stats, model):
         return mmse_simo3(stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs)
-    res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol,
-                                max_samples=max_samples, seed=seed)
+    res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol, seed=seed)
     t = stats.omega_b.shape[0]
     folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]
     h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))

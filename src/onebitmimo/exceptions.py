@@ -24,12 +24,6 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """A matrix that must be positive definite is not."""
 
 
-class AssumptionError(ValueError):
-    """A closed-form special case was invoked on a configuration that
-    violates one of its structural assumptions.  The message names the
-    assumption that failed."""
-
-
 class CapabilityError(RuntimeError):
     """The request is valid but beyond what this implementation supports
     (for example an orthant integral in too many dimensions)."""

@@ -31,10 +31,12 @@ EIG_RATIO_FLOOR = 1e-12
 # Relative tolerance for symmetry / Hermitian-ness checks on inputs.
 SYMMETRY_TOL = 1e-12
 
-# Relative size at or below which an off-diagonal entry does not couple two
-# coordinates.  The optimality verdict measures entries of the inverse
-# observation covariance against its largest entry; the orthant layer
-# measures correlations and splits blocks across uncoupled coordinates.
+# Correlation magnitude at or below which two coordinates of the sign-folded
+# covariance S do not couple.  The orthant layer splits S into blocks across
+# uncoupled coordinates, and the optimality verdict reads the same blocks:
+# a PD matrix and its inverse share their coupled blocks, so the paper's
+# condition on the precision matrix C = S^{-1}/2 (at most one coupling per
+# row) is the condition that no block of S exceeds two coordinates.
 COUPLING_TOL = 1e-10
 
 _UINT64_MOD = 2**64
@@ -140,22 +142,22 @@ def build_pilot_model(pilots, n_rx):
 class SecondOrderStats:
     """Second-order statistics of the unquantized observation.
 
-    omega_b = A sigma_ch A^H + noise_var I is the observation covariance;
-    d_r and d_i are the real and imaginary parts of its inverse, the only
-    pieces the estimators and the optimality test ever need.
+    omega_b = A sigma_ch A^H + noise_var I is the observation covariance
+    and omega_inv its inverse.
     """
 
     sigma_ch: np.ndarray
     noise_var: float
     omega_b: np.ndarray
-    d_r: np.ndarray
-    d_i: np.ndarray
+    omega_inv: np.ndarray
     # Factor F with sigma_ch = F F^H, kept for sampling channel draws.
     sigma_factor: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def omega_inv(self):
-        return self.d_r + 1j * self.d_i
+
+def real_form(m):
+    """Real 2n x 2n form [[Re m, -Im m], [Im m, Re m]] of a complex n x n
+    matrix: twice the covariance of [Re b; Im b] for b ~ CN(0, m)."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def _psd_factor(sigma, name):
@@ -194,30 +196,14 @@ def second_order_stats(model, sigma_ch, noise_var):
     omega = a @ sigma_ch @ a.conj().T + noise_var * np.eye(model.dims.obs_len)
     omega = (omega + omega.conj().T) / 2.0
     omega_inv = hermitian_inverse(omega, "omega_b")
-    d_r = omega_inv.real.copy()
-    d_i = omega_inv.imag.copy()
-    # omega_inv is Hermitian by construction, so these hold to rounding.
-    d_r = (d_r + d_r.T) / 2.0
-    d_i = (d_i - d_i.T) / 2.0
     factor = _psd_factor(sigma_ch, "sigma_ch")
     return SecondOrderStats(
         sigma_ch=sigma_ch,
         noise_var=noise_var,
         omega_b=omega,
-        d_r=d_r,
-        d_i=d_i,
+        omega_inv=omega_inv,
         sigma_factor=factor,
     )
-
-
-def snr_of(pilots, noise_var):
-    """Pilot SNR: trace(S S^H) / (tau * N_T * noise_var)."""
-    pilots = _checked_matrix(np.asarray(pilots, dtype=complex), "pilots")
-    noise_var = float(noise_var)
-    if not np.isfinite(noise_var) or noise_var <= 0.0:
-        raise DomainError(f"noise_var must be finite and > 0, got {noise_var}")
-    n_pilots, n_tx = pilots.shape
-    return float(np.linalg.norm(pilots) ** 2 / (n_pilots * n_tx * noise_var))
 
 
 def _philox(seed, stream, word=0):

@@ -3,22 +3,27 @@
 The posterior mean is linear in the sign vector exactly when every row of
 the orthant precision matrix C = S^{-1}/2 couples to at most one other
 coordinate, where S is the covariance of the sign-folded observation
-(estimators.sign_covariance).
-Sign flips only change signs of entries of C, never which entries are
-non-zero, so the verdict depends on the magnitude pattern of the inverse
-observation covariance alone and holds for every observation at once.
+(estimators.sign_covariance).  A PD matrix and its inverse have the same
+coupled blocks, so this holds exactly when S splits into blocks of at most
+two coordinates: the blocks the orthant layer splits S into.
+Sign flips only change signs of entries of S, never which coordinates
+couple or how strongly, so the blocks are those of the real form
+[[Re Omega, -Im Omega], [Im Omega, Re Omega]] of the observation
+covariance, and the verdict holds for every observation at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import COUPLING_TOL
+from .model import real_form
+from .orthant import _coupling_components, _coupling_graph
 
 
 @dataclass(frozen=True)
 class CouplingWitness:
-    """One row of C with two significant off-diagonal couplings.
+    """One coordinate of S coupled to two others, with the magnitudes of
+    those correlations.
 
     Indices refer to the 2 tau N_R real coordinates (real parts first,
     then imaginary parts)."""
@@ -34,39 +39,31 @@ class CouplingWitness:
 class OptimalityVerdict:
     optimal: bool
     witness: CouplingWitness | None
-    threshold: float
+    largest_block: int
 
 
-def is_blmmse_optimal(stats, eps=COUPLING_TOL):
+def is_blmmse_optimal(stats):
     """Check whether the linear estimator equals the posterior mean.
 
-    eps is relative to the largest entry magnitude of the inverse
-    observation covariance; off-diagonal entries above eps * that scale
-    count as couplings, so rounding noise in an exactly diagonal inverse
-    does not.  When the verdict is False the witness names a row of C with
-    two couplings and their magnitudes, so near-threshold calls can be
-    judged by the caller.
+    Splits S into coupled blocks as the orthant layer does; the verdict is
+    True when no block exceeds two coordinates.  When it is False the
+    witness names a row of the first larger block with two couplings and
+    their correlation magnitudes, so the caller can judge borderline calls
+    against COUPLING_TOL.
     """
-    t = stats.d_r.shape[0]
-    off_dr = np.abs(stats.d_r).copy()
-    np.fill_diagonal(off_dr, 0.0)
-    off_di = np.abs(stats.d_i).copy()
-    np.fill_diagonal(off_di, 0.0)
-    threshold = eps * np.abs(stats.omega_inv).max()
-    # Magnitude pattern of C: row i of the real block couples to column l
-    # through |d_r[i, l]| and to column t + l through |d_i[i, l]|; the
-    # imaginary block mirrors it, so one pass over the rows suffices.
-    mags = np.hstack([off_dr, off_di])
-    for i in range(t):
-        cols = np.nonzero(mags[i] > threshold)[0]
-        if len(cols) >= 2:
-            a, b = int(cols[0]), int(cols[1])
-            witness = CouplingWitness(
-                row=i,
-                col_a=a,
-                col_b=b,
-                magnitude_a=float(mags[i, a]),
-                magnitude_b=float(mags[i, b]),
-            )
-            return OptimalityVerdict(optimal=False, witness=witness, threshold=threshold)
-    return OptimalityVerdict(optimal=True, witness=None, threshold=threshold)
+    om = real_form(stats.omega_b)
+    blocks = _coupling_components(om)
+    largest = max(len(block) for block in blocks)
+    if largest <= 2:
+        return OptimalityVerdict(optimal=True, witness=None, largest_block=largest)
+    block = next(block for block in blocks if len(block) > 2)
+    coupled = _coupling_graph(om)
+    np.fill_diagonal(coupled, False)
+    # a connected block of three or more has a coordinate with two couplings
+    row = next(int(i) for i in block if np.count_nonzero(coupled[i]) >= 2)
+    a, b = (int(k) for k in np.flatnonzero(coupled[row])[:2])
+    d = np.sqrt(om.diagonal())
+    corr = np.abs(om[row]) / (d[row] * d)
+    witness = CouplingWitness(row=row, col_a=a, col_b=b,
+                              magnitude_a=float(corr[a]), magnitude_b=float(corr[b]))
+    return OptimalityVerdict(optimal=False, witness=witness, largest_block=largest)

@@ -95,12 +95,18 @@ def _closed_orthant(corr):
     raise DimensionError(f"no closed form for dimension {n}")
 
 
+def _coupling_graph(m):
+    """Adjacency of the coupling graph of a PD matrix, diagonal included:
+    i and k couple when their correlation exceeds COUPLING_TOL in
+    magnitude, |m_ik| > COUPLING_TOL sqrt(m_ii m_kk)."""
+    d = np.sqrt(m.diagonal())
+    return np.abs(m) > COUPLING_TOL * np.outer(d, d)
+
+
 def _coupling_components(m):
     """Connected components of the coupling graph of a PD matrix, each as
-    ascending indices, ordered by their smallest index.  i and k couple
-    when |m_ik| > COUPLING_TOL sqrt(m_ii m_kk), a correlation threshold."""
-    d = np.sqrt(m.diagonal())
-    reach = np.abs(m) > COUPLING_TOL * np.outer(d, d)
+    ascending indices, ordered by their smallest index."""
+    reach = _coupling_graph(m)
     # square the reachability matrix until it covers paths of length n - 1
     for _ in range((m.shape[0] - 1).bit_length()):
         reach = (reach.astype(np.int64) @ reach) > 0

@@ -64,6 +64,10 @@ def arcsine_matrix(omega_b):
     Returns (m, dm) with Dm = Diag(dm) = Diag(omega)^(-1/2) and
 
         m = arcsin(Dm Re(omega) Dm) + 1j * arcsin(Dm Im(omega) Dm).
+
+    For b ~ CN(0, omega_b) and r = quantize(b), (2/pi) m holds the sign
+    moments: E[Re(r) Re(r)^T] is its real part and E[Im(r) Re(r)^T] its
+    imaginary part.
     """
     omega_b = np.asarray(omega_b, dtype=complex)
     d = omega_b.diagonal().real
@@ -76,12 +80,3 @@ def arcsine_matrix(omega_b):
     im = dm[:, None] * omega_b.imag * dm[None, :]
     return arcsin_clamped(re) + 1j * arcsin_clamped(im), dm
 
-
-def normalized_sign_covariance(omega_b):
-    """Arcsine-law second moments of the quantizer output.
-
-    For b ~ CN(0, omega_b) with r = quantize(b), the real sign covariance
-    E[Re(r) Re(r)^T] equals the real part of (2/pi) * arcsine_matrix(omega_b)
-    and the cross moment E[Im(r) Re(r)^T] equals its imaginary part.
-    """
-    return (2.0 / np.pi) * arcsine_matrix(omega_b)[0]

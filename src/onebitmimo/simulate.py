@@ -20,16 +20,10 @@ from .estimators import (
     blmmse_operator,
     matches_simo3,
     mmse_estimate,
-    mmse_linear_operator,
     simo3_closed_batch,
     tx_covariance,
 )
-from .exceptions import (
-    AssumptionError,
-    CapabilityError,
-    DimensionError,
-    DomainError,
-)
+from .exceptions import CapabilityError, DimensionError, DomainError
 from .model import (
     STREAM_CONTRACT,
     SystemDims,
@@ -37,12 +31,13 @@ from .model import (
     sample_realizations,
     second_order_stats,
 )
+from .optimality import is_blmmse_optimal
 from .orthant import MAX_QMC_DIM
 from .quantizer import observation_from_signs, sgn
 
 NOISE_VAR = 1.0
 
-ESTIMATOR_NAMES = ("mmse", "blmmse", "closed-form")
+ESTIMATOR_NAMES = ("mmse", "blmmse")
 
 _CHUNK = 8192
 
@@ -201,11 +196,9 @@ def build_pilots(spec, dims, snr_linear, noise_var=NOISE_VAR, sigma_ch=None):
 
 def _resolve_estimator(name, stats, model, rel_tol):
     """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat."""
-    if name == "blmmse":
+    verdict = is_blmmse_optimal(stats) if name == "mmse" else None
+    if verdict is None or verdict.optimal:
         w = blmmse_operator(stats, model)
-    else:
-        w = mmse_linear_operator(stats, model)
-    if w is not None:
         return lambda rr, ri: (rr + 1j * ri) @ w.T
     if matches_simo3(stats, model):
         sigma = stats.sigma_ch.real
@@ -216,15 +209,10 @@ def _resolve_estimator(name, stats, model, rel_tol):
             return simo3_closed_batch(sigma, pilot, nv, rr, ri)[0]
 
         return simo3_eval
-    if name == "closed-form":
-        raise AssumptionError(
-            "closed-form estimator requested but no closed form matches this "
-            "configuration"
-        )
-    if 2 * model.dims.obs_len > MAX_QMC_DIM:
+    if verdict.largest_block > MAX_QMC_DIM:
         raise CapabilityError(
-            f"numeric posterior mean needs orthant dimension "
-            f"{2 * model.dims.obs_len} > {MAX_QMC_DIM}"
+            f"numeric posterior mean needs orthant integrals over a coupled block "
+            f"of {verdict.largest_block} coordinates > {MAX_QMC_DIM}"
         )
 
     cache = {}

@@ -86,6 +86,7 @@ def test_check_optimality(tmp_path, capsys):
     assert main(["check-optimality", "--config", cfg]) == 0
     text = capsys.readouterr().out
     assert "linear estimator optimal: False" in text
+    assert "largest coupled block: 3" in text
     assert "witness: row 0" in text
 
     cfg2 = write(tmp_path, SCALAR_CFG, "scalar.yaml")

@@ -130,10 +130,11 @@ def test_sign_covariance_inverts_to_the_precision_matrix():
     # the paper's precision matrix C of the sign-folded observation
     lam_r = np.diag(obs.r_real)
     lam_i = np.diag(obs.r_imag)
+    d_r, d_i = stats.omega_inv.real, stats.omega_inv.imag
     expect = np.block(
         [
-            [lam_r @ stats.d_r @ lam_r, lam_r @ stats.d_i.T @ lam_i],
-            [lam_i @ stats.d_i @ lam_r, lam_i @ stats.d_r @ lam_i],
+            [lam_r @ d_r @ lam_r, lam_r @ d_i.T @ lam_i],
+            [lam_i @ d_i @ lam_r, lam_i @ d_r @ lam_i],
         ]
     )
     s = sign_covariance(stats, obs)

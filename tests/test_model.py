@@ -12,8 +12,8 @@ from onebitmimo import (
     build_pilot_model,
     sample_realization,
     sample_realizations,
+    build_pilots,
     second_order_stats,
-    snr_of,
 )
 from onebitmimo.model import hermitian_inverse
 
@@ -67,8 +67,8 @@ def test_stats_uncorrelated_unitary():
     model = build_pilot_model(np.sqrt(eta) * np.eye(2, dtype=complex), 2)
     stats = second_order_stats(model, np.eye(4, dtype=complex), nv)
     np.testing.assert_allclose(stats.omega_b, (eta + nv) * np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(stats.d_r, np.eye(4) / (eta + nv), atol=1e-12)
-    np.testing.assert_allclose(stats.d_i, 0.0, atol=1e-15)
+    np.testing.assert_allclose(stats.omega_inv.real, np.eye(4) / (eta + nv), atol=1e-12)
+    np.testing.assert_allclose(stats.omega_inv.imag, 0.0, atol=1e-15)
 
 
 def test_inverse_reconstruction():
@@ -79,11 +79,10 @@ def test_inverse_reconstruction():
         model = build_pilot_model(pilots, 3)
         stats = second_order_stats(model, sigma, 0.7)
         t = stats.omega_b.shape[0]
-        resid = (stats.d_r + 1j * stats.d_i) @ stats.omega_b - np.eye(t)
+        resid = stats.omega_inv @ stats.omega_b - np.eye(t)
         assert np.abs(resid).max() < 1e-9
-        # exact symmetry by construction
-        assert np.array_equal(stats.d_r, stats.d_r.T)
-        assert np.array_equal(stats.d_i, -stats.d_i.T)
+        # exactly Hermitian by construction
+        assert np.array_equal(stats.omega_inv, stats.omega_inv.conj().T)
 
 
 def test_omega_from_definition():
@@ -129,11 +128,11 @@ def test_covariance_dimension_mismatch_rejected():
 
 def test_snr_definition():
     # snr = ||S||_F^2 / (n_pilots n_tx noise_var)
-    assert snr_of(np.array([[np.sqrt(10.0)]]), 1.0) == pytest.approx(10.0)
-    eta = 6.0
-    pilots = np.sqrt(eta) * np.eye(3)
-    # ||S||_F^2 = 3 eta, n_pilots = n_tx = 3
-    assert snr_of(pilots, 2.0) == pytest.approx(3 * eta / (3 * 3 * 2.0))
+    pilots = build_pilots({"kind": "scalar"}, SystemDims(1, 1, 1), 10.0, 1.0)
+    assert np.linalg.norm(pilots) ** 2 == pytest.approx(10.0)
+    pilots = build_pilots({"kind": "scaled-unitary"}, SystemDims(3, 2, 3), 1.0, 2.0)
+    # S = sqrt(eta) I_3 has ||S||_F^2 = 3 eta, so eta = snr n_tx noise_var
+    np.testing.assert_allclose(pilots, np.sqrt(1.0 * 3 * 2.0) * np.eye(3), atol=1e-14)
 
 
 def test_sampling_moments():

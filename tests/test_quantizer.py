@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from onebitmimo import (
-    DomainError,
-    normalized_sign_covariance,
-    observation_from_signs,
-    quantize,
-)
+from onebitmimo import DomainError, observation_from_signs, quantize
+from onebitmimo.quantizer import arcsine_matrix
+
+
+def normalized_sign_covariance(omega_b):
+    """(2/pi) times the arcsine matrix: the sign moments of quantize(b)."""
+    return (2.0 / np.pi) * arcsine_matrix(omega_b)[0]
 
 
 def test_sign_convention_zero_maps_to_plus_one():

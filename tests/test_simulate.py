@@ -8,7 +8,6 @@ import pytest
 
 import onebitmimo.simulate as simulate
 from onebitmimo import (
-    AssumptionError,
     CapabilityError,
     DimensionError,
     DomainError,
@@ -19,7 +18,6 @@ from onebitmimo import (
     build_pilots,
     render_csv,
     run_mse_sweep,
-    snr_of,
 )
 
 
@@ -35,6 +33,11 @@ def scalar_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def snr_of(pilots, noise_var):
+    """Pilot SNR: ||S||_F^2 / (n_pilots n_tx noise_var)."""
+    return np.linalg.norm(pilots) ** 2 / (pilots.size * noise_var)
 
 
 def analytic_scalar_mse(eta, nv=1.0):
@@ -129,46 +132,39 @@ def test_metadata_echoes_config():
     )
 
 
-def test_closed_form_estimator_matches_mmse():
-    cfg = SweepConfig(
-        dims=SystemDims(1, 3, 1),
-        covariance={"kind": "exponential", "rho": 0.6},
-        pilots={"kind": "scalar"},
-        snr_grid_db=(10.0,),
-        estimators=("mmse", "closed-form"),
-        trials=2_000,
-        seed=3,
-    )
-    rows = {r.estimator: r for r in run_mse_sweep(cfg).rows}
-    assert rows["mmse"].mse == pytest.approx(rows["closed-form"].mse, rel=1e-12)
-
-
-def test_closed_form_estimator_requires_matching_structure():
-    cfg = SweepConfig(
-        dims=SystemDims(1, 4, 1),
-        covariance={"kind": "exponential", "rho": 0.5},
-        pilots={"kind": "scalar"},
-        snr_grid_db=(10.0,),
-        estimators=("closed-form",),
-        trials=10,
-        seed=0,
-    )
-    with pytest.raises(AssumptionError):
-        run_mse_sweep(cfg)
-
-
 def test_general_path_dimension_capability():
+    # nine complex pilots on one antenna couple all 18 real coordinates of S
+    # into one block, beyond the integrator's MAX_QMC_DIM
+    rng = np.random.default_rng(9)
     cfg = SweepConfig(
-        dims=SystemDims(1, 9, 1),
-        covariance={"kind": "exponential", "rho": 0.5},
-        pilots={"kind": "scalar"},
+        dims=SystemDims(1, 1, 9),
+        covariance={"kind": "identity"},
+        pilots={"kind": "explicit", "real": rng.standard_normal((9, 1)).tolist(),
+                "imag": rng.standard_normal((9, 1)).tolist()},
         snr_grid_db=(10.0,),
         estimators=("mmse",),
         trials=10,
         seed=0,
     )
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="block of 18 coordinates"):
         run_mse_sweep(cfg)
+
+
+def test_real_nine_antenna_sweep_runs_on_two_blocks():
+    # a real 1x9 configuration splits S into two uncoupled 9-blocks, each
+    # within MAX_QMC_DIM, so the general path serves it
+    cfg = SweepConfig(
+        dims=SystemDims(1, 9, 1),
+        covariance={"kind": "exponential", "rho": 0.5},
+        pilots={"kind": "scalar"},
+        snr_grid_db=(10.0,),
+        estimators=("mmse", "blmmse"),
+        trials=10,
+        seed=0,
+    )
+    rows = {r.estimator: r for r in run_mse_sweep(cfg).rows}
+    mmse, bl = rows["mmse"], rows["blmmse"]
+    assert mmse.mse <= bl.mse + 5.0 * math.hypot(mmse.stderr, bl.stderr)
 
 
 def test_general_estimator_used_in_sweep():
