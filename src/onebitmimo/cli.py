@@ -130,17 +130,16 @@ def _load_matrix(path):
 
 def _cmd_orthant(args):
     psi = _load_matrix(args.matrix)
-    prob = orthant_probability(
-        psi, rel_tol=args.rel_tol, max_samples=args.max_samples, seed=args.seed
-    )
-    print(f"orthant probability: {prob:.12g}")
-    if args.mean:
-        res = positive_orthant_mean(
-            psi, rel_tol=args.rel_tol, max_samples=args.max_samples, seed=args.seed
-        )
-        print(f"truncated mean ({res.method}):")
-        for i, v in enumerate(res.mean):
-            print(f"  [{i}] {v:.12g}")
+    kwargs = dict(rel_tol=args.rel_tol, max_samples=args.max_samples, seed=args.seed)
+    if not args.mean:
+        print(f"orthant probability: {orthant_probability(psi, **kwargs):.12g}")
+        return 0
+    # the truncated mean integrates P(psi) on the way, so print that value
+    res = positive_orthant_mean(psi, **kwargs)
+    print(f"orthant probability: {res.prob:.12g}")
+    print(f"truncated mean ({res.method}):")
+    for i, v in enumerate(res.mean):
+        print(f"  [{i}] {v:.12g}")
     return 0
 
 

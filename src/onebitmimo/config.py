@@ -10,7 +10,7 @@ import yaml
 
 from .exceptions import DomainError
 from .model import SystemDims
-from .simulate import SweepConfig
+from .simulate import SweepConfig, snr_from_db
 
 _ALLOWED_KEYS = {
     "dims",
@@ -93,5 +93,7 @@ def point_snr_db(raw, config):
     if "snr_db" in raw:
         if isinstance(raw["snr_db"], bool):
             raise DomainError("snr_db must be a number, not a boolean")
-        return float(raw["snr_db"])
+        snr_db = float(raw["snr_db"])
+        snr_from_db(snr_db)
+        return snr_db
     return float(config.snr_grid_db[0])

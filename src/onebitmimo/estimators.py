@@ -10,9 +10,10 @@ Two families:
   Pr(r) is the orthant probability P(S), and E[x | x > 0], from which the
   posterior mean follows linearly, reduces to orthant probabilities of
   dimension one lower (Tallis 1961); coupled blocks of S of size at most
-  three are solved exactly by arcsine closed forms.  The real
-  three-antenna single-input configuration has a dedicated vectorized
-  closed form.
+  three are solved exactly by arcsine closed forms.  Sweeps of the real
+  three-antenna single-input configuration use ``simo3_closed_batch``,
+  the same posterior mean written out in closed form and vectorized over
+  sign patterns.
 
 The two coincide exactly when the precision matrix C = S^{-1}/2 carries at
 most one off-diagonal coupling per row.  C and S share their coupled
@@ -112,13 +113,9 @@ def _is_real_standardized(sigma_ch):
     return np.abs(sigma_ch.diagonal().real - 1.0).max() <= STRUCT_TOL
 
 
-def _is_simo(model):
-    return model.dims.n_tx == 1 and model.dims.n_pilots == 1
-
-
 def matches_simo3(stats, model):
     """True when the Theorem-style three-antenna closed form applies."""
-    if not (_is_simo(model) and model.dims.n_rx == 3):
+    if (model.dims.n_tx, model.dims.n_rx, model.dims.n_pilots) != (1, 3, 1):
         return False
     if not _is_real_standardized(stats.sigma_ch):
         return False
@@ -142,12 +139,21 @@ def tx_covariance(sigma_ch, dims):
 
 
 def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
-    """Vectorized three-antenna closed form.
+    """Exact MMSE estimates for one pilot, three receive antennas and a real
+    standardized channel covariance.
 
     r_real and r_imag have shape (..., 3); returns estimates of shape
     (..., 3) and the sign-pattern probabilities of shape (...,).
     """
-    sigma = np.asarray(sigma_ch, dtype=float)
+    sigma = np.asarray(sigma_ch)
+    if sigma.shape != (3, 3):
+        raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
+    if not _is_real_standardized(sigma):
+        raise DomainError("sigma_ch must be real and standardized (unit diagonal)")
+    sigma = check_hermitian(sigma.real.astype(float), "sigma_ch")
+    r_real, r_imag = np.asarray(r_real, dtype=float), np.asarray(r_imag, dtype=float)
+    if r_real.shape[-1:] != (3,) or r_imag.shape != r_real.shape:
+        raise DimensionError(f"sign arrays must be (..., 3), got {r_real.shape}, {r_imag.shape}")
     s = complex(pilot)
     noise_var = float(noise_var)
     denom = abs(s) ** 2 + noise_var
@@ -184,33 +190,11 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
             )
         return v, p
 
-    v_r, p_r = moments(np.asarray(r_real, dtype=float))
-    v_i, p_i = moments(np.asarray(r_imag, dtype=float))
+    v_r, p_r = moments(r_real)
+    v_i, p_i = moments(r_imag)
     front = np.conj(s) / (2.0 * math.sqrt(np.pi * denom))
     h_hat = front * (v_r / p_r[..., None] + 1j * v_i / p_i[..., None]) @ sigma
     return h_hat, p_r * p_i
-
-
-def mmse_simo3(sigma_ch, pilot, noise_var, obs):
-    """Exact MMSE estimate for one pilot, three receive antennas and a real
-    standardized channel covariance.
-
-    This is the genuinely non-linear closed form: each coordinate mixes the
-    signs of all three antennas through the arcsines of the pairwise and
-    partial correlations.
-    """
-    sigma = np.asarray(sigma_ch)
-    if sigma.shape != (3, 3):
-        raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
-    if np.abs(np.asarray(sigma, dtype=complex).imag).max() > STRUCT_TOL:
-        raise DomainError("sigma_ch must be real")
-    sigma = check_hermitian(np.asarray(sigma, dtype=complex).real, "sigma_ch")
-    if np.abs(sigma.diagonal() - 1.0).max() > STRUCT_TOL:
-        raise DomainError("sigma_ch must be standardized (unit diagonal)")
-    if obs.r_real.shape != (3,):
-        raise DimensionError("observation must have length 3")
-    h_hat, pr = simo3_closed_batch(sigma, pilot, noise_var, obs.r_real, obs.r_imag)
-    return Estimate(h_hat=h_hat, estimator="mmse-closed", pr_r=float(pr))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +204,14 @@ def mmse_simo3(sigma_ch, pilot, noise_var, obs):
 def mmse_estimate(stats, model, obs, rel_tol=1e-4, method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
-    method="auto" takes the vectorized closed form of the real
-    three-antenna single-input configuration when the statistics match
-    it, and otherwise the orthant reduction over the sign-folded
-    covariance S, labelled "mmse-closed" when no orthant needed the
-    numeric integrator; method="general" forces the reduction and always
-    labels it "mmse-general".
+    Every call takes the orthant reduction over the sign-folded
+    covariance S.  method only picks the label: "auto" says "mmse-closed"
+    when no orthant needed the numeric integrator and "mmse-general"
+    otherwise; "general" always says "mmse-general".
     """
     _check_obs(stats, obs)
     if method not in ("auto", "general"):
         raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
-    if method == "auto" and matches_simo3(stats, model):
-        return mmse_simo3(stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs)
     res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol, seed=seed)
     t = stats.omega_b.shape[0]
     folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]

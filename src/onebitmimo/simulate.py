@@ -42,6 +42,17 @@ ESTIMATOR_NAMES = ("mmse", "blmmse")
 _CHUNK = 8192
 
 
+def snr_from_db(snr_db):
+    """Linear SNR of snr_db decibels; DomainError unless finite and positive."""
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise DomainError(f"snr_db {snr_db!r} has no finite positive linear value")
+    return snr
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one MSE sweep depends on.
@@ -64,6 +75,8 @@ class SweepConfig:
             raise DomainError("snr_grid_db must not be empty")
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
             raise DomainError("snr_grid_db contains duplicate points")
+        for snr_db in self.snr_grid_db:
+            snr_from_db(snr_db)
         if not self.estimators:
             raise DomainError("estimators must not be empty")
         for name in self.estimators:
@@ -73,8 +86,9 @@ class SweepConfig:
                 )
         if int(self.trials) < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if int(self.seed) < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # the seed keys a Philox4x64 stream with one uint64 word
+        if not 0 <= int(self.seed) < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0.0 < float(self.rel_tol) < 1.0:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 
@@ -201,14 +215,8 @@ def _resolve_estimator(name, stats, model, rel_tol):
         w = blmmse_operator(stats, model)
         return lambda rr, ri: (rr + 1j * ri) @ w.T
     if matches_simo3(stats, model):
-        sigma = stats.sigma_ch.real
-        pilot = model.pilots[0, 0]
-        nv = stats.noise_var
-
-        def simo3_eval(rr, ri):
-            return simo3_closed_batch(sigma, pilot, nv, rr, ri)[0]
-
-        return simo3_eval
+        args = (stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var)
+        return lambda rr, ri: simo3_closed_batch(*args, rr, ri)[0]
     if verdict.largest_block > MAX_QMC_DIM:
         raise CapabilityError(
             f"numeric posterior mean needs orthant integrals over a coupled block "
@@ -224,9 +232,7 @@ def _resolve_estimator(name, stats, model, rel_tol):
             hit = cache.get(key)
             if hit is None:
                 obs = observation_from_signs(rr[i], ri[i])
-                hit = mmse_estimate(
-                    stats, model, obs, rel_tol=rel_tol, method="general"
-                ).h_hat
+                hit = mmse_estimate(stats, model, obs, rel_tol=rel_tol).h_hat
                 cache[key] = hit
             out[i] = hit
         return out
@@ -237,7 +243,7 @@ def _resolve_estimator(name, stats, model, rel_tol):
 def build_point(config, snr_db):
     """Materialize (stats, model) for one SNR point of a sweep config."""
     sigma = build_covariance(config.covariance, config.dims)
-    snr = 10.0 ** (float(snr_db) / 10.0)
+    snr = snr_from_db(snr_db)
     pilots = build_pilots(config.pilots, config.dims, snr, NOISE_VAR, sigma_ch=sigma)
     model = build_pilot_model(pilots, config.dims.n_rx)
     stats = second_order_stats(model, sigma, NOISE_VAR)
@@ -256,6 +262,9 @@ def run_mse_sweep(config):
     trials = int(config.trials)
     rows = []
     eta_notes = []
+    # Build and resolve every point before the first trial, so that a point
+    # that cannot be served fails the sweep before any sampling is spent.
+    points = []
     for snr_db in sorted(float(x) for x in config.snr_grid_db):
         stats, model = build_point(config, snr_db)
         eta_notes.append(
@@ -265,6 +274,8 @@ def run_mse_sweep(config):
             name: _resolve_estimator(name, stats, model, config.rel_tol)
             for name in config.estimators
         }
+        points.append((snr_db, stats, model, evals))
+    for snr_db, stats, model, evals in points:
         sq_errors = {name: [] for name in config.estimators}
         done = 0
         while done < trials:

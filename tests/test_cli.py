@@ -133,6 +133,18 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_overflowing_snr_reports_error(tmp_path, capsys):
+    # 4000 dB has no finite linear value: an error line, not a traceback
+    cfg = write(tmp_path, SCALAR_CFG.replace("[0, 10]", "[0, 4000]"), "grid.yaml")
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "no finite positive linear value" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write(tmp_path, SCALAR_CFG + "snr_db: 4000\n", "point.yaml")
+    assert main(["check-optimality", "--config", cfg]) == 1
+    assert "no finite positive linear value" in capsys.readouterr().err
+
+
 def test_bad_observation_reports_error(tmp_path, capsys):
     cfg = write(tmp_path, SCALAR_CFG, "cfg.yaml")
     obs = write(tmp_path, "r_real: [1, 0.5]\nr_imag: [1, 1]\n", "obs.yaml")

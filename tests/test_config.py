@@ -1,9 +1,15 @@
 """YAML configuration loading."""
 
+import glob
+import os
+
 import pytest
 
 from onebitmimo import DimensionError, DomainError, SystemDims
 from onebitmimo.config import load_raw, load_sweep_config, point_snr_db, sweep_config_from_dict
+from onebitmimo.simulate import build_point
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 GOOD = """
 dims: {n_tx: 1, n_rx: 2, n_pilots: 1}
@@ -105,3 +111,23 @@ def test_type_errors_rejected():
 def test_missing_required_key_rejected():
     with pytest.raises(DomainError, match="missing required key"):
         sweep_config_from_dict({"dims": {"n_tx": 1, "n_rx": 1, "n_pilots": 1}})
+
+
+def test_unbuildable_snr_rejected_at_load(tmp_path):
+    for grid in ("[0, 4000]", "[0, .nan]", "[.inf]", "[-4000]"):
+        with pytest.raises(DomainError, match="no finite positive linear value"):
+            load_sweep_config(write(tmp_path, GOOD.replace("[-10, 0, 10, 20]", grid)))
+    raw = load_raw(write(tmp_path, GOOD + "snr_db: 4000\n"))
+    with pytest.raises(DomainError, match="no finite positive linear value"):
+        point_snr_db(raw, sweep_config_from_dict(raw))
+
+
+def test_shipped_configs_load_and_build():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+    assert paths
+    for path in paths:
+        raw = load_raw(path)
+        cfg = sweep_config_from_dict(raw)
+        point_snr_db(raw, cfg)
+        for snr_db in cfg.snr_grid_db:
+            build_point(cfg, snr_db)

@@ -9,6 +9,7 @@ numeric integrator.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from onebitmimo import (
     is_blmmse_optimal,
     mmse_estimate,
     mmse_linear_operator,
-    mmse_simo3,
     observation_from_signs,
     quantize,
     sample_realizations,
@@ -33,13 +33,16 @@ from onebitmimo import (
     sign_covariance,
     simo3_closed_batch,
 )
+from onebitmimo.config import load_sweep_config
 from onebitmimo.estimators import matches_simo3
 from onebitmimo.model import SystemDims
-from onebitmimo.simulate import build_covariance
+from onebitmimo.simulate import build_covariance, build_point
 
 from numeric_oracle import numeric_mmse
 
 LINEAR_TOL = 1e-9
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def all_sign_patterns(length):
@@ -282,12 +285,28 @@ def test_simo3_matches_general_closed_path():
         stats, model = simo_setup(corr, pilot=pilot, nv=nv)
         assert matches_simo3(stats, model)
         for obs in all_sign_patterns(3):
-            closed = mmse_estimate(stats, model, obs)
-            general = mmse_estimate(stats, model, obs, method="general")
-            assert closed.estimator == "mmse-closed"
-            assert general.estimator == "mmse-general"
-            assert np.abs(closed.h_hat - general.h_hat).max() < 1e-12
-            assert general.pr_r == pytest.approx(closed.pr_r, rel=1e-12)
+            h_closed, pr_closed = simo3_closed_batch(corr, pilot, nv, obs.r_real, obs.r_imag)
+            general = mmse_estimate(stats, model, obs)
+            assert general.estimator == "mmse-closed"
+            assert np.abs(h_closed - general.h_hat).max() < 1e-12
+            assert general.pr_r == pytest.approx(pr_closed, rel=1e-12)
+
+
+def test_simo3_matches_reduction_on_shipped_config():
+    # the sweep takes the batch closed form where a single estimate takes
+    # the orthant reduction; both must give the same posterior mean
+    cfg = load_sweep_config(os.path.join(CONFIGS, "receive_correlated.yaml"))
+    for snr_db in cfg.snr_grid_db:
+        stats, model = build_point(cfg, snr_db)
+        assert matches_simo3(stats, model)
+        for obs in all_sign_patterns(3):
+            h_closed, pr_closed = simo3_closed_batch(
+                stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs.r_real, obs.r_imag
+            )
+            est = mmse_estimate(stats, model, obs)
+            assert est.estimator == "mmse-closed"
+            assert np.abs(est.h_hat - h_closed).max() <= 1e-12 * np.abs(h_closed).max()
+            assert est.pr_r == pytest.approx(pr_closed, rel=1e-12)
 
 
 def test_simo3_matches_numeric_integration():
@@ -296,36 +315,28 @@ def test_simo3_matches_numeric_integration():
     obs = observation_from_signs(
         np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0])
     )
-    closed = mmse_estimate(stats, model, obs)
+    h_closed, pr_closed = simo3_closed_batch(
+        corr, model.pilots[0, 0], stats.noise_var, obs.r_real, obs.r_imag
+    )
     numeric_h, numeric_pr = numeric_mmse(stats, model, obs, seed=4)
-    scale = np.abs(closed.h_hat).max()
-    assert np.abs(closed.h_hat - numeric_h).max() < 1e-3 * scale
-    assert numeric_pr == pytest.approx(closed.pr_r, rel=1e-3)
-
-
-def test_simo3_batch_agrees_with_single_calls():
-    corr = exponential_covariance(3, 0.6)
-    rr = np.array([[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
-    ri = np.array([[1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
-    h_hat, pr = simo3_closed_batch(corr, 1.5, 1.0, rr, ri)
-    for i in range(2):
-        obs = observation_from_signs(rr[i], ri[i])
-        single = mmse_simo3(corr, 1.5, 1.0, obs)
-        np.testing.assert_allclose(h_hat[i], single.h_hat, atol=1e-15)
-        assert pr[i] == pytest.approx(single.pr_r, rel=1e-15)
+    scale = np.abs(h_closed).max()
+    assert np.abs(h_closed - numeric_h).max() < 1e-3 * scale
+    assert numeric_pr == pytest.approx(pr_closed, rel=1e-3)
 
 
 def test_simo3_validation():
-    obs = observation_from_signs(np.ones(3), np.ones(3))
+    ones3 = np.ones(3)
     with pytest.raises(DimensionError):
-        mmse_simo3(np.eye(2), 1.0, 1.0, obs)
+        simo3_closed_batch(np.eye(2), 1.0, 1.0, ones3, ones3)
+    with pytest.raises(DimensionError):
+        simo3_closed_batch(np.eye(3), 1.0, 1.0, np.ones(2), np.ones(2))
     with pytest.raises(DomainError, match="standardized"):
-        mmse_simo3(2.0 * np.eye(3), 1.0, 1.0, obs)
+        simo3_closed_batch(2.0 * np.eye(3), 1.0, 1.0, ones3, ones3)
     # noiseless with perfect correlation sits on the arcsine boundary
     with pytest.raises(DomainError, match="boundary"):
         ones = np.full((3, 3), 1.0 - 1e-16)
         np.fill_diagonal(ones, 1.0)
-        mmse_simo3(ones, 1.0, 0.0, obs)
+        simo3_closed_batch(ones, 1.0, 0.0, ones3, ones3)
 
 
 def test_simo3_rejects_invalid_correlation_triple():
@@ -335,7 +346,7 @@ def test_simo3_rejects_invalid_correlation_triple():
     sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     obs = observation_from_signs(np.array([-1.0, 1.0, 1.0]), np.ones(3))
     with pytest.raises((NotPositiveDefiniteError, DomainError)):
-        mmse_simo3(sigma, 10.0, 0.01, obs)
+        simo3_closed_batch(sigma, 10.0, 0.01, obs.r_real, obs.r_imag)
 
 
 def test_simo3_conjugation_symmetry():

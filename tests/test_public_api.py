@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "is_blmmse_optimal",
     "mmse_estimate",
     "mmse_linear_operator",
-    "mmse_simo3",
     "observation_from_signs",
     "orthant_probability",
     "orthant_probability_mc",

@@ -12,6 +12,7 @@ from onebitmimo import (
     DimensionError,
     DomainError,
     MseSweepResult,
+    SingularMatrixError,
     SweepConfig,
     SystemDims,
     build_covariance,
@@ -200,6 +201,37 @@ def test_config_validation():
         scalar_config(seed=-1)
     with pytest.raises(DomainError):
         scalar_config(rel_tol=2.0)
+
+
+def test_seed_beyond_one_stream_key_rejected():
+    # Philox is keyed by one uint64 word: 2**64 + 1 would replay seed 1
+    scalar_config(seed=2**64 - 1)
+    with pytest.raises(DomainError, match=r"\[0, 2\*\*64\)"):
+        scalar_config(seed=2**64 + 1)
+
+
+def test_unservable_point_fails_before_any_sampling(monkeypatch):
+    # fully correlated transmit antennas: at 130 dB the observation
+    # covariance is numerically singular, which the 0 dB point does not show
+    calls = []
+
+    def sample(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("sampled before every point was built")
+
+    monkeypatch.setattr(simulate, "sample_realizations", sample)
+    cfg = SweepConfig(
+        dims=SystemDims(2, 1, 2),
+        covariance={"kind": "bessel-tx", "gamma_max": 0},
+        pilots={"kind": "scaled-unitary"},
+        snr_grid_db=(0.0, 130.0),
+        estimators=("mmse", "blmmse"),
+        trials=200_000,
+        seed=3,
+    )
+    with pytest.raises(SingularMatrixError):
+        run_mse_sweep(cfg)
+    assert calls == []
 
 
 def test_build_covariance_kinds():
