@@ -31,7 +31,6 @@ from .model import (
     SystemDims,
     SystemModel,
     build_pilot_model,
-    sample_realization,
     sample_realizations,
     second_order_stats,
 )
@@ -39,11 +38,8 @@ from .optimality import CouplingWitness, OptimalityVerdict, is_blmmse_optimal
 from .orthant import (
     TruncatedMeanResult,
     orthant_probability,
-    orthant_probability_mc,
     positive_orthant_mean,
-    positive_orthant_mean_mc,
     standardize,
-    truncated_mean_cf_2d,
 )
 from .quantizer import (
     QuantizedObservation,

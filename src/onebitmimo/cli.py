@@ -19,9 +19,14 @@ import yaml
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
 from .exceptions import DomainError
-from .model import sample_realization
+from .model import sample_realizations
 from .optimality import is_blmmse_optimal
-from .orthant import orthant_probability, positive_orthant_mean
+from .orthant import (
+    DEFAULT_MAX_SAMPLES,
+    DEFAULT_REL_TOL,
+    orthant_probability,
+    positive_orthant_mean,
+)
 from .quantizer import observation_from_signs, quantize
 from .simulate import build_point, emit_results, run_mse_sweep
 
@@ -66,10 +71,10 @@ def _cmd_estimate(args):
     if args.obs is not None:
         obs = _load_observation(args.obs)
     else:
-        h_true, _, b = sample_realization(stats, model, cfg.seed)
-        obs = quantize(b)
+        h, _, b = sample_realizations(stats, model, cfg.seed, 1)
+        obs = quantize(b[0])
         print(f"sampled observation (seed {cfg.seed}), true channel:")
-        print(_fmt_vector(h_true))
+        print(_fmt_vector(h[0]))
     print(f"snr_db: {snr_db:g}")
     print("r:")
     print(_fmt_vector(obs.r))
@@ -175,8 +180,9 @@ def build_parser():
                         help="matrix file (YAML 'matrix:' mapping or whitespace grid)")
     p_orth.add_argument("--mean", action="store_true",
                         help="also print the positive-orthant truncated mean")
-    p_orth.add_argument("--rel-tol", type=float, default=1e-4, dest="rel_tol")
-    p_orth.add_argument("--max-samples", type=int, default=10_000_000, dest="max_samples")
+    p_orth.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL, dest="rel_tol")
+    p_orth.add_argument("--max-samples", type=int, default=DEFAULT_MAX_SAMPLES,
+                        dest="max_samples")
     p_orth.add_argument("--seed", type=int, default=0)
     p_orth.set_defaults(func=_cmd_orthant)
     return parser

@@ -70,7 +70,8 @@ def sweep_config_from_dict(raw):
     estimators = tuple(str(x) for x in estimators)
     trials = _require(raw, "trials", int, "integer")
     seed = _require(raw, "seed", int, "integer")
-    rel_tol = float(raw.get("rel_tol", 1e-4))
+    # an absent rel_tol takes SweepConfig's default
+    optional = {"rel_tol": float(raw["rel_tol"])} if "rel_tol" in raw else {}
     return SweepConfig(
         dims=dims,
         covariance=dict(covariance),
@@ -79,7 +80,7 @@ def sweep_config_from_dict(raw):
         estimators=estimators,
         trials=trials,
         seed=seed,
-        rel_tol=rel_tol,
+        **optional,
     )
 
 

@@ -31,13 +31,13 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import below_eig_floor, check_hermitian, hermitian_inverse, real_form
+from .model import check_hermitian, hermitian_inverse, real_form
 from .optimality import is_blmmse_optimal
-from .orthant import arcsin_clamped, positive_orthant_mean
+from .orthant import DEFAULT_REL_TOL, arcsin_clamped, positive_orthant_mean
 from .quantizer import arcsine_matrix
 
 # Relative tolerance for structural pattern detection (real covariance,
-# standardized diagonal, Kronecker transmit structure).
+# Kronecker transmit structure).
 STRUCT_TOL = 1e-10
 
 
@@ -107,19 +107,15 @@ def mmse_linear_operator(stats, model):
     return None
 
 
-def _is_real_standardized(sigma_ch):
-    if np.abs(sigma_ch.imag).max() > STRUCT_TOL * max(np.abs(sigma_ch).max(), 1.0):
-        return False
-    return np.abs(sigma_ch.diagonal().real - 1.0).max() <= STRUCT_TOL
+def _is_real(sigma_ch):
+    return np.abs(sigma_ch.imag).max() <= STRUCT_TOL * max(np.abs(sigma_ch).max(), 1.0)
 
 
 def matches_simo3(stats, model):
-    """True when the Theorem-style three-antenna closed form applies."""
-    if (model.dims.n_tx, model.dims.n_rx, model.dims.n_pilots) != (1, 3, 1):
-        return False
-    if not _is_real_standardized(stats.sigma_ch):
-        return False
-    return not below_eig_floor(np.linalg.eigvalsh(stats.sigma_ch.real))
+    """True when the three-antenna closed form applies: one pilot, three
+    receive antennas and a real channel covariance."""
+    dims = model.dims
+    return (dims.n_tx, dims.n_rx, dims.n_pilots) == (1, 3, 1) and _is_real(stats.sigma_ch)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +136,12 @@ def tx_covariance(sigma_ch, dims):
 
 def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     """Exact MMSE estimates for one pilot, three receive antennas and a real
-    standardized channel covariance.
+    channel covariance.
+
+    Antenna k observes variance d_k = |s|^2 sigma_kk + noise_var, so the
+    real and imaginary sign triples see correlations
+    beta_ij = |s|^2 sigma_ij / sqrt(d_i d_j), and coordinate k of their
+    truncated means carries the factor conj(s) / (2 sqrt(pi d_k)).
 
     r_real and r_imag have shape (..., 3); returns estimates of shape
     (..., 3) and the sign-pattern probabilities of shape (...,).
@@ -148,19 +149,19 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     sigma = np.asarray(sigma_ch)
     if sigma.shape != (3, 3):
         raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
-    if not _is_real_standardized(sigma):
-        raise DomainError("sigma_ch must be real and standardized (unit diagonal)")
+    if not _is_real(sigma):
+        raise DomainError("sigma_ch must be real")
     sigma = check_hermitian(sigma.real.astype(float), "sigma_ch")
     r_real, r_imag = np.asarray(r_real, dtype=float), np.asarray(r_imag, dtype=float)
     if r_real.shape[-1:] != (3,) or r_imag.shape != r_real.shape:
         raise DimensionError(f"sign arrays must be (..., 3), got {r_real.shape}, {r_imag.shape}")
     s = complex(pilot)
     noise_var = float(noise_var)
-    denom = abs(s) ** 2 + noise_var
-    if denom <= 0.0:
-        raise DomainError("pilot power plus noise variance must be positive")
-    scale = abs(s) ** 2 / denom
-    b12, b13, b23 = scale * sigma[0, 1], scale * sigma[0, 2], scale * sigma[1, 2]
+    var = abs(s) ** 2 * sigma.diagonal() + noise_var
+    if var.min() <= 0.0:
+        raise DomainError("every observation variance |s|^2 sigma_kk + noise_var must be positive")
+    beta = (abs(s) ** 2 / np.sqrt(np.outer(var, var))) * sigma
+    b12, b13, b23 = beta[0, 1], beta[0, 2], beta[1, 2]
     for name, b in (("beta12", b12), ("beta13", b13), ("beta23", b23)):
         if abs(b) >= 1.0 - 1e-14:
             raise DomainError(f"{name} = {b!r} on the boundary of (-1, 1)")
@@ -192,7 +193,7 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
 
     v_r, p_r = moments(r_real)
     v_i, p_i = moments(r_imag)
-    front = np.conj(s) / (2.0 * math.sqrt(np.pi * denom))
+    front = np.conj(s) / (2.0 * np.sqrt(np.pi * var))
     h_hat = front * (v_r / p_r[..., None] + 1j * v_i / p_i[..., None]) @ sigma
     return h_hat, p_r * p_i
 
@@ -201,7 +202,7 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
 # posterior mean
 
 
-def mmse_estimate(stats, model, obs, rel_tol=1e-4, method="auto", seed=0):
+def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
     Every call takes the orthant reduction over the sign-folded

@@ -39,8 +39,6 @@ SYMMETRY_TOL = 1e-12
 # row) is the condition that no block of S exceeds two coordinates.
 COUPLING_TOL = 1e-10
 
-_UINT64_MOD = 2**64
-
 # How sample_realizations turns (seed, trial) into normals; sweeps echo it in
 # their metadata.  w = 2 * (channel_len + obs_len) words per trial.
 STREAM_CONTRACT = (
@@ -210,27 +208,23 @@ def _philox(seed, stream, word=0):
     """Philox4x64 bit generator keyed by the uint64 pair (seed, stream),
     positioned so that its next output is uint64 word `word` of the stream.
 
-    The key is an explicit uint64 array: numpy turns a list holding one
-    value >= 2**63 and one below into float64, which rounds nearby seeds
-    onto one key.
+    A seed or stream outside [0, 2**64) raises DomainError: folding it into
+    range would hand two seeds one stream.  The key is an explicit uint64
+    array: numpy turns a list holding one value >= 2**63 and one below into
+    float64, which rounds nearby seeds onto one key.
     """
     seed, stream, word = int(seed), int(stream), int(word)
     if min(seed, stream, word) < 0:
         raise DomainError("seed, stream and stream position must be non-negative integers")
-    key = np.array([seed % _UINT64_MOD, stream % _UINT64_MOD], dtype=np.uint64)
+    if max(seed, stream) >= 2**64:
+        raise DomainError(f"seed and stream must be < 2**64, got seed={seed}, stream={stream}")
+    key = np.array([seed, stream], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     # Philox yields words in blocks of 4: skip whole blocks by counter, then
     # drop the words of the block that precede the position.
     bits.advance(word // 4)
     bits.random_raw(word % 4)
     return bits
-
-
-def sample_realization(stats, model, seed, stream=0):
-    """Draw one (h, n, b) realization: trial `stream` of the seed's stream,
-    the same row sample_realizations returns for that trial."""
-    h, n, b = sample_realizations(stats, model, seed, 1, start_stream=stream)
-    return h[0], n[0], b[0]
 
 
 def sample_realizations(stats, model, seed, n_samples, start_stream=0):
@@ -242,7 +236,7 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     w = 2 * (channel_len + obs_len), and each word becomes the standard
     normal ndtri(((word >> 12) + 0.5) * 2**-52).  Trial t is a function of
     (seed, t) alone, so any contiguous slice of trials reproduces exactly
-    regardless of how the full run is chunked.
+    regardless of how the full run is split into batches.
     """
     n_samples = int(n_samples)
     if n_samples < 1:

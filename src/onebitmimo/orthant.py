@@ -15,9 +15,6 @@ rule whose generating vector comes from the fast component-by-component
 an error estimate alongside the value.  The truncated mean is reduced to
 a vector of one-dimension-lower orthant probabilities of conditional
 covariances (Tallis 1961), so it inherits whichever path those take.
-
-Plain Monte Carlo estimators (`orthant_probability_mc`,
-`positive_orthant_mean_mc`) are kept as independent oracles for tests.
 """
 
 import math
@@ -36,6 +33,11 @@ from .exceptions import (
 )
 from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian
 
+# Defaults of the integrator's accuracy target and evaluation budget; every
+# entry point that passes them on defaults to these.
+DEFAULT_REL_TOL = 1e-4
+DEFAULT_MAX_SAMPLES = 10_000_000
+
 # Largest dimension the quasi-random integrator will attempt.  Block-diagonal
 # inputs are split first, so only the largest coupled block counts.
 MAX_QMC_DIM = 16
@@ -49,10 +51,10 @@ _N_SHIFTS = 10
 _POINTS_PER_DIM = 100
 
 
-def arcsin_clamped(x, slack=_ARCSIN_SLACK):
+def arcsin_clamped(x):
     """arcsin with tolerance for arguments barely outside [-1, 1]."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + slack):
+    if np.any(np.abs(x) > 1.0 + _ARCSIN_SLACK):
         worst = float(np.max(np.abs(x)))
         raise DomainError(f"arcsin argument {worst!r} outside [-1, 1] beyond tolerance")
     return np.arcsin(np.clip(x, -1.0, 1.0))
@@ -69,17 +71,20 @@ def _validate_spd(m, name):
     return m
 
 
-def standardize(psi):
-    """Rescale a covariance to unit diagonal.
+def check_rel_tol(rel_tol):
+    """Reject a relative tolerance outside (0, 1), NaN included."""
+    if not 0.0 < float(rel_tol) < 1.0:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
-    Returns (corr, scale) with psi = Diag(scale) corr Diag(scale).
-    """
+
+def standardize(psi):
+    """Rescale a covariance to unit diagonal: the correlation matrix corr
+    with psi = Diag(scale) corr Diag(scale), scale = sqrt(diag psi)."""
     psi = _validate_spd(psi, "psi")
     scale = np.sqrt(psi.diagonal())
     corr = psi / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
-    corr = (corr + corr.T) / 2.0
-    return corr, scale
+    return (corr + corr.T) / 2.0
 
 
 def _closed_orthant(corr):
@@ -270,14 +275,17 @@ def _integrand_sum(chol, pts):
     return float(prob.sum())
 
 
-def orthant_probability(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
+def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
+                        seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
     Uncoupled blocks are split off first; blocks of dimension 1..3 use the
     arcsine closed forms exactly, larger coupled blocks go through the
-    quasi-random integrator at relative tolerance rel_tol.
+    quasi-random integrator at relative tolerance rel_tol, which must lie
+    in (0, 1).
     """
-    corr, _ = standardize(psi)
+    check_rel_tol(rel_tol)
+    corr = standardize(psi)
     prob = 1.0
     for comp in _coupling_components(corr):
         sub = corr[np.ix_(comp, comp)]
@@ -321,7 +329,8 @@ def _mean_single_block(psi, rel_tol, max_samples, seed):
     return psi @ (g / np.sqrt(2.0 * np.pi * psi.diagonal())) / prob, prob
 
 
-def positive_orthant_mean(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
+def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
+                          seed=0):
     """Truncated mean E[u | u > 0] and probability P(u > 0) of u ~ N(0, psi).
 
     By Tallis (1961), E[u | u > 0] = psi g / P(psi) with
@@ -329,8 +338,12 @@ def positive_orthant_mean(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
     the other coordinates given u_k = 0; each coordinate costs one orthant
     probability of one dimension less, plus one for P(psi).  Uncoupled
     blocks of psi factor the distribution and are solved independently,
-    block j with seeds offset by 1000 j.
+    block j with seeds offset by 1000 j.  Block j integrates at seeds
+    seed + 1000 j + k, k = 0..len(block); these key Philox streams and must
+    stay below 2**64, so a seed that close to 2**64 raises DomainError once
+    a block needs the integrator.
     """
+    check_rel_tol(rel_tol)
     psi = _validate_spd(psi, "psi")
     mean = np.empty(psi.shape[0])
     prob = 1.0
@@ -342,75 +355,3 @@ def positive_orthant_mean(psi, rel_tol=1e-4, max_samples=10_000_000, seed=0):
         closed = closed and len(comp) <= 3
     return TruncatedMeanResult(mean=mean, prob=prob,
                                method="closed-form" if closed else "reduction")
-
-
-def truncated_mean_cf_2d(psi):
-    """Unnormalized orthant first moments of a standardized bivariate normal.
-
-    For u ~ N(0, psi) with unit variances, returns the pair
-    (E[u_1 1{u > 0}], E[u_2 1{u > 0}]) = ((1 + psi12)/(2 sqrt(2 pi)),) * 2.
-    """
-    psi = check_hermitian(np.asarray(psi, dtype=float), "psi")
-    if psi.shape != (2, 2):
-        raise DimensionError(f"psi must be 2x2, got shape {psi.shape}")
-    if abs(psi[0, 0] - 1.0) > 1e-12 or abs(psi[1, 1] - 1.0) > 1e-12:
-        raise DomainError("psi must be standardized (unit diagonal)")
-    rho = psi[0, 1]
-    if abs(rho) > 1.0 + _ARCSIN_SLACK:
-        raise DomainError(f"psi12 = {rho!r} outside [-1, 1]")
-    val = (1.0 + min(max(rho, -1.0), 1.0)) / (2.0 * math.sqrt(2.0 * np.pi))
-    return val, val
-
-
-def orthant_probability_mc(psi, n_samples, seed=0, chunk=2_000_000):
-    """Plain Monte Carlo counting estimate of the orthant probability.
-
-    Independent of the closed forms and of the quasi-random integrator;
-    returns (estimate, standard_error).
-    """
-    corr, _ = standardize(psi)
-    chol = np.linalg.cholesky(corr)
-    rng = np.random.Generator(_philox(seed, 1))
-    n_samples = int(n_samples)
-    hits = 0
-    left = n_samples
-    while left > 0:
-        m = min(left, chunk)
-        z = rng.standard_normal((m, corr.shape[0]))
-        hits += int(np.count_nonzero((z @ chol.T > 0.0).all(axis=1)))
-        left -= m
-    p = hits / n_samples
-    return p, math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
-
-
-def positive_orthant_mean_mc(psi, n_samples, seed=0, chunk=1_000_000):
-    """Rejection-sampling estimate of the truncated mean E[u | u > 0].
-
-    Samples u ~ N(0, psi), keeps draws in the positive orthant and
-    averages.  Returns (mean, standard_errors, n_accepted).
-    """
-    psi = _validate_spd(psi, "psi")
-    n = psi.shape[0]
-    chol = np.linalg.cholesky(psi)
-    rng = np.random.Generator(_philox(seed, 2))
-    n_samples = int(n_samples)
-    total = np.zeros(n)
-    total_sq = np.zeros(n)
-    kept = 0
-    left = n_samples
-    while left > 0:
-        m = min(left, chunk)
-        z = rng.standard_normal((m, n)) @ chol.T
-        mask = (z > 0.0).all(axis=1)
-        zk = z[mask]
-        total += zk.sum(axis=0)
-        total_sq += (zk * zk).sum(axis=0)
-        kept += int(mask.sum())
-        left -= m
-    if kept < 2:
-        raise AccuracyError(
-            f"rejection sampler accepted only {kept} of {n_samples} draws", estimate=None
-        )
-    mean = total / kept
-    var = total_sq / kept - mean**2
-    return mean, np.sqrt(np.clip(var, 0.0, None) / kept), kept

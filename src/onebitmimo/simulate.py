@@ -7,9 +7,10 @@ is echoed in the result metadata.  Trial t draws its normals from words
 [t*w, (t+1)*w) of one counter-based Philox stream keyed by the seed (see
 model.sample_realizations), and per-trial squared errors are reduced with
 compensated summation in trial order, so results are bit-identical for any
-chunking of the work.
+batching of the work.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .model import (
     second_order_stats,
 )
 from .optimality import is_blmmse_optimal
-from .orthant import MAX_QMC_DIM
+from .orthant import DEFAULT_REL_TOL, MAX_QMC_DIM, check_rel_tol
 from .quantizer import observation_from_signs, sgn
 
 NOISE_VAR = 1.0
@@ -40,6 +41,22 @@ NOISE_VAR = 1.0
 ESTIMATOR_NAMES = ("mmse", "blmmse")
 
 _CHUNK = 8192
+
+# The parameters each covariance and pilot kind reads, with their defaults
+# (None: a matrix the kind needs, or an optional imaginary part).  A spec may
+# set "kind" and these keys only.
+COVARIANCE_PARAMS = {
+    "identity": {},
+    "exponential": {"rho": 0.0},
+    "bessel-tx": {"delta": 0.5, "theta": np.pi / 6.0, "gamma_max": 0.1},
+    "custom": {"real": None, "imag": None},
+}
+PILOT_PARAMS = {
+    "scalar": {},
+    "scaled-unitary": {},
+    "eigenbasis": {},
+    "explicit": {"real": None, "imag": None},
+}
 
 
 def snr_from_db(snr_db):
@@ -58,7 +75,8 @@ class SweepConfig:
     """Everything one MSE sweep depends on.
 
     covariance and pilots are plain {"kind": ..., parameters...} mappings;
-    see build_covariance and build_pilots for the accepted kinds.
+    see build_covariance and build_pilots for the accepted kinds, and
+    COVARIANCE_PARAMS and PILOT_PARAMS for the parameters each reads.
     """
 
     dims: SystemDims
@@ -68,7 +86,7 @@ class SweepConfig:
     estimators: tuple
     trials: int
     seed: int
-    rel_tol: float = 1e-4
+    rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
         if len(self.snr_grid_db) == 0:
@@ -77,8 +95,12 @@ class SweepConfig:
             raise DomainError("snr_grid_db contains duplicate points")
         for snr_db in self.snr_grid_db:
             snr_from_db(snr_db)
+        _spec_params(self.covariance, COVARIANCE_PARAMS, "covariance")
+        _spec_params(self.pilots, PILOT_PARAMS, "pilot")
         if not self.estimators:
             raise DomainError("estimators must not be empty")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise DomainError(f"estimators contains duplicate names: {list(self.estimators)}")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise DomainError(
@@ -89,8 +111,7 @@ class SweepConfig:
         # the seed keys a Philox4x64 stream with one uint64 word
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not 0.0 < float(self.rel_tol) < 1.0:
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        check_rel_tol(self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -108,17 +129,32 @@ class MseSweepResult:
     metadata: dict
 
 
-def _parse_complex_matrix(spec, key_prefix=""):
-    real = spec.get(f"{key_prefix}real")
+def _spec_params(spec, kinds, what):
+    """(kind, parameters) of a {"kind": ..., ...} spec, the parameters the
+    spec leaves out set to their defaults in kinds[kind].
+
+    DomainError for a kind missing from kinds, or a key its kind does not read.
+    """
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"unknown {what} kind {kind!r}; choose from {sorted(kinds)}")
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    unread = sorted(set(params) - set(kinds[kind]))
+    if unread:
+        raise DomainError(f"{what} kind {kind!r} does not read keys {unread}")
+    return kind, {**kinds[kind], **params}
+
+
+def _parse_complex_matrix(params):
+    real = params["real"]
     if real is None:
-        raise DomainError(f"missing '{key_prefix}real' matrix")
+        raise DomainError("missing 'real' matrix")
     real = np.asarray(real, dtype=float)
-    imag = spec.get(f"{key_prefix}imag")
+    imag = params["imag"]
     imag = np.zeros_like(real) if imag is None else np.asarray(imag, dtype=float)
     if imag.shape != real.shape:
         raise DimensionError(
-            f"'{key_prefix}imag' shape {imag.shape} does not match "
-            f"'{key_prefix}real' shape {real.shape}"
+            f"'imag' shape {imag.shape} does not match 'real' shape {real.shape}"
         )
     return real + 1j * imag
 
@@ -131,7 +167,7 @@ def build_covariance(spec, dims):
     parameters delta, theta, gamma_max); custom (explicit real/imag
     matrix over the full stacked channel).
     """
-    kind = spec.get("kind")
+    kind, params = _spec_params(spec, COVARIANCE_PARAMS, "covariance")
     if kind == "identity":
         return np.eye(dims.channel_len, dtype=complex)
     if kind == "exponential":
@@ -140,45 +176,42 @@ def build_covariance(spec, dims):
                 "exponential covariance models receive correlation and "
                 "requires n_tx == 1"
             )
-        return exponential_covariance(dims.n_rx, spec.get("rho", 0.0)).astype(complex)
+        return exponential_covariance(dims.n_rx, params["rho"]).astype(complex)
     if kind == "bessel-tx":
         sigma_tx = bessel_tx_covariance(
-            dims.n_tx,
-            spec.get("delta", 0.5),
-            spec.get("theta", np.pi / 6.0),
-            spec.get("gamma_max", 0.1),
+            dims.n_tx, params["delta"], params["theta"], params["gamma_max"]
         )
         return np.kron(sigma_tx, np.eye(dims.n_rx))
-    if kind == "custom":
-        sigma = _parse_complex_matrix(spec)
-        if sigma.shape != (dims.channel_len, dims.channel_len):
-            raise DimensionError(
-                f"custom covariance has shape {sigma.shape}, expected "
-                f"({dims.channel_len}, {dims.channel_len})"
-            )
-        return sigma
-    raise DomainError(f"unknown covariance kind {kind!r}")
+    # custom
+    sigma = _parse_complex_matrix(params)
+    if sigma.shape != (dims.channel_len, dims.channel_len):
+        raise DimensionError(
+            f"custom covariance has shape {sigma.shape}, expected "
+            f"({dims.channel_len}, {dims.channel_len})"
+        )
+    return sigma
 
 
-def build_pilots(spec, dims, snr_linear, noise_var=NOISE_VAR, sigma_ch=None):
-    """Materialize the pilot matrix for one SNR point.
+def build_pilots(spec, dims, snr_linear, sigma_ch=None):
+    """Materialize the pilot matrix for one SNR point at noise variance
+    NOISE_VAR.
 
     kinds: scalar (single-input single-pilot); scaled-unitary (identity
     basis, n_pilots == n_tx); eigenbasis (rows from the transmit-covariance
     eigenvectors, n_pilots == n_tx, needs sigma_ch); explicit (fixed base
     matrix rescaled to the target SNR).
     """
-    kind = spec.get("kind")
+    kind, params = _spec_params(spec, PILOT_PARAMS, "pilot")
     if snr_linear <= 0.0 or not np.isfinite(snr_linear):
         raise DomainError(f"snr must be positive and finite, got {snr_linear}")
     if kind == "scalar":
         if dims.n_tx != 1 or dims.n_pilots != 1:
             raise DomainError("scalar pilots require n_tx == n_pilots == 1")
-        return np.array([[math.sqrt(snr_linear * noise_var)]], dtype=complex)
+        return np.array([[math.sqrt(snr_linear * NOISE_VAR)]], dtype=complex)
     if kind == "scaled-unitary":
         if dims.n_pilots != dims.n_tx:
             raise DomainError("scaled-unitary pilots require n_pilots == n_tx")
-        eta = snr_linear * dims.n_tx * noise_var
+        eta = snr_linear * dims.n_tx * NOISE_VAR
         return math.sqrt(eta) * np.eye(dims.n_tx, dtype=complex)
     if kind == "eigenbasis":
         if dims.n_pilots != dims.n_tx:
@@ -191,21 +224,20 @@ def build_pilots(spec, dims, snr_linear, noise_var=NOISE_VAR, sigma_ch=None):
                 "eigenbasis pilots require sigma_ch = kron(sigma_tx, identity)"
             )
         _, vecs = np.linalg.eigh(sigma_tx)
-        eta = snr_linear * dims.n_tx * noise_var
+        eta = snr_linear * dims.n_tx * NOISE_VAR
         return math.sqrt(eta) * vecs.conj().T
-    if kind == "explicit":
-        base = _parse_complex_matrix(spec)
-        if base.shape != (dims.n_pilots, dims.n_tx):
-            raise DimensionError(
-                f"explicit pilots have shape {base.shape}, expected "
-                f"({dims.n_pilots}, {dims.n_tx})"
-            )
-        energy = np.linalg.norm(base) ** 2
-        if energy <= 0.0:
-            raise DomainError("explicit pilot matrix must be non-zero")
-        target = snr_linear * dims.n_pilots * dims.n_tx * noise_var
-        return base * math.sqrt(target / energy)
-    raise DomainError(f"unknown pilot kind {kind!r}")
+    # explicit
+    base = _parse_complex_matrix(params)
+    if base.shape != (dims.n_pilots, dims.n_tx):
+        raise DimensionError(
+            f"explicit pilots have shape {base.shape}, expected "
+            f"({dims.n_pilots}, {dims.n_tx})"
+        )
+    energy = np.linalg.norm(base) ** 2
+    if energy <= 0.0:
+        raise DomainError("explicit pilot matrix must be non-zero")
+    target = snr_linear * dims.n_pilots * dims.n_tx * NOISE_VAR
+    return base * math.sqrt(target / energy)
 
 
 def _resolve_estimator(name, stats, model, rel_tol):
@@ -244,7 +276,7 @@ def build_point(config, snr_db):
     """Materialize (stats, model) for one SNR point of a sweep config."""
     sigma = build_covariance(config.covariance, config.dims)
     snr = snr_from_db(snr_db)
-    pilots = build_pilots(config.pilots, config.dims, snr, NOISE_VAR, sigma_ch=sigma)
+    pilots = build_pilots(config.pilots, config.dims, snr, sigma_ch=sigma)
     model = build_pilot_model(pilots, config.dims.n_rx)
     stats = second_order_stats(model, sigma, NOISE_VAR)
     return stats, model
@@ -309,10 +341,8 @@ def run_mse_sweep(config):
     rows.sort(key=lambda r: (r.snr_db, r.estimator))
     metadata = {
         "dims": f"n_tx={dims.n_tx} n_rx={dims.n_rx} n_pilots={dims.n_pilots}",
-        "covariance": " ".join(f"{k}={v}" for k, v in sorted(config.covariance.items())
-                               if not isinstance(v, (list, tuple))),
-        "pilots": " ".join(f"{k}={v}" for k, v in sorted(config.pilots.items())
-                           if not isinstance(v, (list, tuple))),
+        "covariance": _echo_spec(config.covariance),
+        "pilots": _echo_spec(config.pilots),
         "noise_var": f"{NOISE_VAR:g}",
         "pilot_energy_per_symbol": "; ".join(eta_notes),
         "estimators": ",".join(config.estimators),
@@ -322,6 +352,20 @@ def run_mse_sweep(config):
         "rel_tol": f"{config.rel_tol:g}",
     }
     return MseSweepResult(rows=rows, metadata=metadata)
+
+
+def _echo_spec(spec):
+    """A spec as one preamble line of key=value pairs.  A matrix entry
+    shows as its shape and the leading 16 hex digits of the sha256 of its
+    float64 bytes, so specs that differ in any entry echo differently."""
+    parts = []
+    for key, value in sorted(spec.items()):
+        if isinstance(value, (list, tuple, np.ndarray)):
+            m = np.asarray(value, dtype=np.float64)
+            digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
+            value = "x".join(map(str, m.shape)) + ":sha256:" + digest
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def render_csv(result):

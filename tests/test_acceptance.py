@@ -31,10 +31,9 @@ from onebitmimo import (
     sample_realizations,
     second_order_stats,
     simo3_closed_batch,
-    truncated_mean_cf_2d,
 )
 
-from numeric_oracle import numeric_mmse
+from numeric_oracle import numeric_mmse, truncated_mean_cf_2d
 
 REL_TOL = 1e-4
 
@@ -148,7 +147,7 @@ def _linear_case_setups():
                 dims,
             )
             pilots = build_pilots(
-                {"kind": "eigenbasis"}, dims, rng.uniform(1.0, 10.0), 1.0, sigma_ch=sigma
+                {"kind": "eigenbasis"}, dims, rng.uniform(1.0, 10.0), sigma_ch=sigma
             )
             model = build_pilot_model(pilots, n_rx)
             cases.append(("tx-only-correlation", second_order_stats(model, sigma, 1.0), model))
@@ -272,7 +271,7 @@ def test_criterion_5_optimality_verdicts():
 
     dims = SystemDims(n_tx=4, n_rx=2, n_pilots=4)
     sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.25}, dims)
-    pilots = build_pilots({"kind": "eigenbasis"}, dims, 5.0, 1.0, sigma_ch=sigma)
+    pilots = build_pilots({"kind": "eigenbasis"}, dims, 5.0, sigma_ch=sigma)
     model = build_pilot_model(pilots, 2)
     verdicts.append(
         ("tx correlation, eigenbasis pilots",

@@ -4,6 +4,7 @@ import glob
 import os
 
 import pytest
+import yaml
 
 from onebitmimo import DimensionError, DomainError, SystemDims
 from onebitmimo.config import load_raw, load_sweep_config, point_snr_db, sweep_config_from_dict
@@ -51,6 +52,28 @@ def test_point_snr_defaults_to_first_grid_entry(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(DomainError, match="unknown config keys"):
         load_raw(write(tmp_path, GOOD + "bogus: 1\n"))
+
+
+def test_unknown_spec_kind_rejected_at_load():
+    for key in ("covariance", "pilots"):
+        raw = dict(yaml.safe_load(GOOD), **{key: {"kind": "bogus"}})
+        with pytest.raises(DomainError, match="unknown .* kind 'bogus'"):
+            sweep_config_from_dict(raw)
+
+
+def test_unread_spec_key_rejected_at_load():
+    # a misspelt parameter would otherwise fall back to its default unseen
+    for key, spec in (("covariance", {"kind": "exponential", "rh0": 0.95}),
+                      ("pilots", {"kind": "scalar", "rho": 0.5})):
+        raw = dict(yaml.safe_load(GOOD), **{key: spec})
+        with pytest.raises(DomainError, match="does not read keys"):
+            sweep_config_from_dict(raw)
+
+
+def test_duplicate_estimators_rejected_at_load():
+    raw = dict(yaml.safe_load(GOOD), estimators=["mmse", "mmse"])
+    with pytest.raises(DomainError, match="duplicate"):
+        sweep_config_from_dict(raw)
 
 
 def test_non_mapping_root_rejected(tmp_path):

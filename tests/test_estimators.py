@@ -201,7 +201,7 @@ def test_linear_equivalence_tx_only_correlation():
                 dims,
             )
             snr = rng.uniform(1.0, 10.0)
-            pilots = build_pilots({"kind": "eigenbasis"}, dims, snr, 1.0, sigma_ch=sigma)
+            pilots = build_pilots({"kind": "eigenbasis"}, dims, snr, sigma_ch=sigma)
             model = build_pilot_model(pilots, n_rx)
             stats = second_order_stats(model, sigma, 1.0)
             for obs in sample_observations(stats, model, seed=5, count=40):
@@ -249,7 +249,7 @@ def test_special_case_forms_match_dispatch():
 
     dims = SystemDims(n_tx=3, n_rx=2, n_pilots=3)
     sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.2}, dims)
-    pilots = build_pilots({"kind": "eigenbasis"}, dims, 5.0, 1.0, sigma_ch=sigma)
+    pilots = build_pilots({"kind": "eigenbasis"}, dims, 5.0, sigma_ch=sigma)
     model = build_pilot_model(pilots, 2)
     stats = second_order_stats(model, sigma, 1.0)
     obs = sample_observations(stats, model, seed=12, count=1)[0]
@@ -309,6 +309,27 @@ def test_simo3_matches_reduction_on_shipped_config():
             assert est.pr_r == pytest.approx(pr_closed, rel=1e-12)
 
 
+def test_simo3_matches_reduction_for_any_real_covariance():
+    # per-antenna observation variances |s|^2 sigma_kk + noise_var carry the
+    # closed form from unit diagonals to every real covariance
+    rng = np.random.default_rng(21)
+    patterns = list(all_sign_patterns(3))
+    r_real = np.array([obs.r_real for obs in patterns])
+    r_imag = np.array([obs.r_imag for obs in patterns])
+    for _ in range(20):
+        a = rng.standard_normal((3, 5))
+        sigma = a @ a.T / 5.0 + 0.1 * np.eye(3)
+        pilot = rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        nv = rng.uniform(0.4, 2.0)
+        stats, model = simo_setup(sigma, pilot=pilot, nv=nv)
+        assert matches_simo3(stats, model)
+        h_closed, pr_closed = simo3_closed_batch(sigma, pilot, nv, r_real, r_imag)
+        for obs, h, pr in zip(patterns, h_closed, pr_closed):
+            est = mmse_estimate(stats, model, obs)
+            assert np.abs(est.h_hat - h).max() <= 1e-12 * np.abs(h).max()
+            assert est.pr_r == pytest.approx(pr, rel=1e-12)
+
+
 def test_simo3_matches_numeric_integration():
     corr = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     stats, model = simo_setup(corr)
@@ -330,8 +351,17 @@ def test_simo3_validation():
         simo3_closed_batch(np.eye(2), 1.0, 1.0, ones3, ones3)
     with pytest.raises(DimensionError):
         simo3_closed_batch(np.eye(3), 1.0, 1.0, np.ones(2), np.ones(2))
-    with pytest.raises(DomainError, match="standardized"):
-        simo3_closed_batch(2.0 * np.eye(3), 1.0, 1.0, ones3, ones3)
+    with pytest.raises(DomainError, match="real"):
+        simo3_closed_batch(np.eye(3) + 0.2j * (np.eye(3, k=1) - np.eye(3, k=-1)), 1.0, 1.0,
+                           ones3, ones3)
+    # a non-unit diagonal is in scope: the closed form equals the reduction
+    stats, model = simo_setup(2.0 * np.eye(3, dtype=complex), pilot=1.5, nv=1.0)
+    for obs in all_sign_patterns(3):
+        h_closed, pr_closed = simo3_closed_batch(2.0 * np.eye(3), 1.5, 1.0,
+                                                 obs.r_real, obs.r_imag)
+        est = mmse_estimate(stats, model, obs)
+        np.testing.assert_allclose(h_closed, est.h_hat, rtol=1e-12, atol=0.0)
+        assert pr_closed == pytest.approx(est.pr_r, rel=1e-12)
     # noiseless with perfect correlation sits on the arcsine boundary
     with pytest.raises(DomainError, match="boundary"):
         ones = np.full((3, 3), 1.0 - 1e-16)
@@ -441,13 +471,13 @@ def test_scalar_pattern_probability_is_quarter():
 def test_completeness_closed_configs():
     """Sign-pattern probabilities sum to 1, the probability-weighted
     estimates sum to 0 (the prior mean), and every estimate is exact."""
-    # a 1x3 real covariance with a non-unit diagonal matches neither the
-    # three-antenna closed form nor the optimality verdict, yet C splits
-    # into two 3x3 blocks that the reduction solves by closed forms
+    # a 1x3 real covariance with a non-unit diagonal fails the optimality
+    # verdict, so the sweep takes the three-antenna closed form; the
+    # reduction solves its two 3x3 blocks of S by closed forms
     scale = np.sqrt([2.0, 1.0, 0.5])
     unstandardized = simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :])
     assert mmse_linear_operator(*unstandardized) is None
-    assert not matches_simo3(*unstandardized)
+    assert matches_simo3(*unstandardized)
     cases = [
         scalar_setup(eta=5.0),
         simo_setup(exponential_covariance(2, 0.8)),

@@ -10,12 +10,12 @@ from onebitmimo import (
     SingularMatrixError,
     SystemDims,
     build_pilot_model,
-    sample_realization,
     sample_realizations,
     build_pilots,
     second_order_stats,
 )
-from onebitmimo.model import hermitian_inverse
+from onebitmimo.model import _philox, hermitian_inverse
+from onebitmimo.simulate import NOISE_VAR
 
 
 def random_hermitian_pd(n, rng, ridge=0.5):
@@ -128,11 +128,11 @@ def test_covariance_dimension_mismatch_rejected():
 
 def test_snr_definition():
     # snr = ||S||_F^2 / (n_pilots n_tx noise_var)
-    pilots = build_pilots({"kind": "scalar"}, SystemDims(1, 1, 1), 10.0, 1.0)
-    assert np.linalg.norm(pilots) ** 2 == pytest.approx(10.0)
-    pilots = build_pilots({"kind": "scaled-unitary"}, SystemDims(3, 2, 3), 1.0, 2.0)
+    pilots = build_pilots({"kind": "scalar"}, SystemDims(1, 1, 1), 10.0)
+    assert np.linalg.norm(pilots) ** 2 == pytest.approx(10.0 * NOISE_VAR)
+    pilots = build_pilots({"kind": "scaled-unitary"}, SystemDims(3, 2, 3), 2.0)
     # S = sqrt(eta) I_3 has ||S||_F^2 = 3 eta, so eta = snr n_tx noise_var
-    np.testing.assert_allclose(pilots, np.sqrt(1.0 * 3 * 2.0) * np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(pilots, np.sqrt(2.0 * 3 * NOISE_VAR) * np.eye(3), atol=1e-14)
 
 
 def test_sampling_moments():
@@ -167,18 +167,6 @@ def test_sampling_is_chunk_invariant():
     np.testing.assert_array_equal(np.vstack([h_a, h_b]), h_all)
     np.testing.assert_array_equal(np.vstack([n_a, n_b]), n_all)
     np.testing.assert_array_equal(np.vstack([b_a, b_b]), b_all)
-
-
-def test_single_realization_matches_stream_zero():
-    rng = np.random.default_rng(33)
-    sigma = random_hermitian_pd(2, rng)
-    model = build_pilot_model(random_pilots(1, 1, rng), 2)
-    stats = second_order_stats(model, sigma, 0.5)
-    h1, n1, b1 = sample_realization(stats, model, seed=9)
-    h, n, b = sample_realizations(stats, model, seed=9, n_samples=1)
-    np.testing.assert_array_equal(h1, h[0])
-    np.testing.assert_array_equal(n1, n[0])
-    np.testing.assert_array_equal(b1, b[0])
 
 
 def word_normals(raw):
@@ -249,6 +237,15 @@ def test_sampling_large_seeds_and_validation():
         sample_realizations(stats, model, -1, 2)
     with pytest.raises(DomainError):
         sample_realizations(stats, model, 0, 2, start_stream=-1)
+
+
+def test_stream_key_beyond_uint64_rejected():
+    # folding 2**64 into range would replay the stream of seed 0
+    _philox(2**64 - 1, 2**64 - 1)
+    with pytest.raises(DomainError, match=r"2\*\*64"):
+        _philox(2**64, 0)
+    with pytest.raises(DomainError, match=r"2\*\*64"):
+        _philox(0, 2**64)
 
 
 def test_hermitian_inverse():

@@ -93,11 +93,11 @@ def test_degenerate_triple_is_optimal():
 def test_eigenbasis_pilots_restore_optimality():
     dims = SystemDims(n_tx=3, n_rx=2, n_pilots=3)
     sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.3}, dims)
-    aligned = build_pilots({"kind": "eigenbasis"}, dims, 5.0, 1.0, sigma_ch=sigma)
+    aligned = build_pilots({"kind": "eigenbasis"}, dims, 5.0, sigma_ch=sigma)
     model = build_pilot_model(aligned, 2)
     assert is_blmmse_optimal(second_order_stats(model, sigma, 1.0)).optimal
 
-    unaligned = build_pilots({"kind": "scaled-unitary"}, dims, 5.0, 1.0)
+    unaligned = build_pilots({"kind": "scaled-unitary"}, dims, 5.0)
     model = build_pilot_model(unaligned, 2)
     assert not is_blmmse_optimal(second_order_stats(model, sigma, 1.0)).optimal
 

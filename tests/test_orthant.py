@@ -18,19 +18,22 @@ from onebitmimo import (
     NotPositiveDefiniteError,
     observation_from_signs,
     orthant_probability,
-    orthant_probability_mc,
     positive_orthant_mean,
-    positive_orthant_mean_mc,
     sign_covariance,
     standardize,
-    truncated_mean_cf_2d,
 )
 from onebitmimo.config import sweep_config_from_dict
 from onebitmimo.model import COUPLING_TOL
 from onebitmimo.orthant import MAX_QMC_DIM, _coupling_components, arcsin_clamped
 from onebitmimo.simulate import build_point
 
-from numeric_oracle import numeric_orthant_mean, numeric_orthant_probability
+from numeric_oracle import (
+    numeric_orthant_mean,
+    numeric_orthant_probability,
+    orthant_probability_mc,
+    positive_orthant_mean_mc,
+    truncated_mean_cf_2d,
+)
 
 CLOSED_TOL = 1e-12
 
@@ -240,9 +243,27 @@ def test_dimension_cap():
 
 
 def test_standardize_splits_scale():
-    corr, scale = standardize(np.array([[4.0, 1.0], [1.0, 1.0]]))
-    np.testing.assert_allclose(scale, [2.0, 1.0])
+    corr = standardize(np.array([[4.0, 1.0], [1.0, 1.0]]))
     np.testing.assert_allclose(corr, [[1.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 1.0, math.nan])
+def test_rel_tol_outside_unit_interval_rejected(rel_tol):
+    # checked before any integration, where a negative or NaN tolerance
+    # would spend the whole evaluation budget before failing
+    psi = equicorrelated(4, 0.3)
+    for entry in (orthant_probability, positive_orthant_mean):
+        with pytest.raises(DomainError, match="rel_tol"):
+            entry(psi, rel_tol=rel_tol, max_samples=10_000)
+
+
+def test_seed_beyond_one_stream_key_rejected():
+    # the integrator keys its stream with the seed; 2**64 would replay seed 0
+    with pytest.raises(DomainError, match=r"2\*\*64"):
+        orthant_probability(equicorrelated(4, 0.3), seed=2**64)
+    # the truncated mean integrates coordinate k's conditional block at seed + k + 1
+    with pytest.raises(DomainError, match=r"2\*\*64"):
+        positive_orthant_mean(equicorrelated(5, 0.3), rel_tol=1e-2, seed=2**64 - 2)
 
 
 def test_rejects_indefinite_matrix():

@@ -35,19 +35,15 @@ PUBLIC_NAMES = [
     "mmse_linear_operator",
     "observation_from_signs",
     "orthant_probability",
-    "orthant_probability_mc",
     "positive_orthant_mean",
-    "positive_orthant_mean_mc",
     "quantize",
     "render_csv",
     "run_mse_sweep",
-    "sample_realization",
     "sample_realizations",
     "second_order_stats",
     "sign_covariance",
     "simo3_closed_batch",
     "standardize",
-    "truncated_mean_cf_2d",
 ]
 
 

@@ -17,9 +17,11 @@ from onebitmimo import (
     SystemDims,
     build_covariance,
     build_pilots,
+    exponential_covariance,
     render_csv,
     run_mse_sweep,
 )
+from onebitmimo.simulate import NOISE_VAR
 
 
 def scalar_config(**overrides):
@@ -234,6 +236,44 @@ def test_unservable_point_fails_before_any_sampling(monkeypatch):
     assert calls == []
 
 
+def test_unstandardized_real_simo3_sweep_takes_closed_form(monkeypatch):
+    def reduction(*args, **kwargs):
+        raise AssertionError("the sweep fell back to the per-pattern reduction")
+
+    monkeypatch.setattr(simulate, "mmse_estimate", reduction)
+    scale = np.sqrt([2.0, 1.0, 0.5])
+    sigma = scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]
+    cfg = SweepConfig(
+        dims=SystemDims(1, 3, 1),
+        covariance={"kind": "custom", "real": sigma.tolist()},
+        pilots={"kind": "scalar"},
+        snr_grid_db=(0.0, 20.0),
+        estimators=("mmse", "blmmse"),
+        trials=500,
+        seed=3,
+    )
+    assert len(run_mse_sweep(cfg).rows) == 4
+
+
+def test_preamble_tells_matrix_specs_apart():
+    def covariance_line(imag01):
+        cfg = scalar_config(
+            dims=SystemDims(1, 2, 1),
+            covariance={"kind": "custom", "real": [[1.0, 0.5], [0.5, 1.0]],
+                        "imag": [[0.0, imag01], [-imag01, 0.0]]},
+            estimators=("blmmse",),
+            trials=10,
+        )
+        text = render_csv(run_mse_sweep(cfg))
+        return next(line for line in text.splitlines() if line.startswith("# covariance:"))
+
+    line = covariance_line(0.1)
+    assert line.startswith("# covariance: imag=2x2:sha256:")
+    assert " kind=custom real=2x2:sha256:" in line
+    assert line != covariance_line(0.3)
+    assert line == covariance_line(0.1)
+
+
 def test_build_covariance_kinds():
     dims = SystemDims(2, 3, 2)
     assert np.array_equal(build_covariance({"kind": "identity"}, dims), np.eye(6))
@@ -255,7 +295,6 @@ def test_build_covariance_kinds():
 
 
 def test_build_pilots_hit_target_snr():
-    nv = 1.0
     for spec, dims in [
         ({"kind": "scalar"}, SystemDims(1, 2, 1)),
         ({"kind": "scaled-unitary"}, SystemDims(3, 2, 3)),
@@ -268,16 +307,16 @@ def test_build_pilots_hit_target_snr():
         ),
     ]:
         for snr in (0.5, 4.0):
-            pilots = build_pilots(spec, dims, snr, nv)
+            pilots = build_pilots(spec, dims, snr)
             assert pilots.shape == (dims.n_pilots, dims.n_tx)
-            assert snr_of(pilots, nv) == pytest.approx(snr, rel=1e-12)
+            assert snr_of(pilots, NOISE_VAR) == pytest.approx(snr, rel=1e-12)
 
 
 def test_build_pilots_eigenbasis_diagonalizes():
     dims = SystemDims(3, 2, 3)
     sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.3}, dims)
-    pilots = build_pilots({"kind": "eigenbasis"}, dims, 2.0, 1.0, sigma_ch=sigma)
-    assert snr_of(pilots, 1.0) == pytest.approx(2.0, rel=1e-12)
+    pilots = build_pilots({"kind": "eigenbasis"}, dims, 2.0, sigma_ch=sigma)
+    assert snr_of(pilots, NOISE_VAR) == pytest.approx(2.0, rel=1e-12)
     sigma_tx = sigma.reshape(3, 2, 3, 2)[:, 0, :, 0]
     rotated = pilots @ sigma_tx @ pilots.conj().T
     off = rotated - np.diag(np.diagonal(rotated))
@@ -287,19 +326,19 @@ def test_build_pilots_eigenbasis_diagonalizes():
 def test_build_pilots_validation():
     dims = SystemDims(2, 1, 2)
     with pytest.raises(DomainError):
-        build_pilots({"kind": "scalar"}, dims, 1.0, 1.0)
+        build_pilots({"kind": "scalar"}, dims, 1.0)
     with pytest.raises(DomainError):
-        build_pilots({"kind": "scaled-unitary"}, dims, -1.0, 1.0)
+        build_pilots({"kind": "scaled-unitary"}, dims, -1.0)
     with pytest.raises(DomainError):
-        build_pilots({"kind": "eigenbasis"}, dims, 1.0, 1.0)
+        build_pilots({"kind": "eigenbasis"}, dims, 1.0)
     not_kron = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
     with pytest.raises(DomainError, match="kron"):
-        build_pilots({"kind": "eigenbasis"}, SystemDims(1, 2, 1), 1.0, 1.0, sigma_ch=not_kron)
+        build_pilots({"kind": "eigenbasis"}, SystemDims(1, 2, 1), 1.0, sigma_ch=not_kron)
     with pytest.raises(DomainError):
-        build_pilots({"kind": "nope"}, dims, 1.0, 1.0)
+        build_pilots({"kind": "nope"}, dims, 1.0)
     bad = {"kind": "explicit", "real": [[0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DomainError):
-        build_pilots(bad, dims, 1.0, 1.0)
+        build_pilots(bad, dims, 1.0)
 
 
 def test_result_types():
