@@ -10,15 +10,23 @@ Two families:
   Pr(r) is the orthant probability P(S), and E[x | x > 0], from which the
   posterior mean follows linearly, reduces to orthant probabilities of
   dimension one lower (Tallis 1961); coupled blocks of S of size at most
-  three are solved exactly by arcsine closed forms.  Sweeps of the real
-  three-antenna single-input configuration use ``simo3_closed_batch``,
-  the same posterior mean written out in closed form and vectorized over
-  sign patterns.
+  three are solved exactly by arcsine closed forms.
 
 The two coincide exactly when the precision matrix C = S^{-1}/2 carries at
 most one off-diagonal coupling per row.  C and S share their coupled
 blocks, so this is the condition that every block of S has size at most
 two (see :mod:`onebitmimo.optimality`); each such block is closed-form.
+
+Sweeps evaluate the posterior mean of a whole chunk of sign patterns at
+once.  Real three-antenna single-input configurations use
+``simo3_closed_batch``, the posterior mean written out in closed form.
+Every other non-linear point uses per-block sign tables, which rest on two
+symmetries: the truncated mean factors over the coupled blocks of S, whose
+split is the same for every sign pattern, so each block's share of the
+estimate depends on its own signs only; and flipping every sign of a block
+leaves its covariance unchanged, so that share is odd in those signs.  A
+block B therefore needs at most 2^(|B|-1) solves, each made once per
+sweep point and looked up for every later trial.
 """
 
 import math
@@ -33,7 +41,12 @@ from .exceptions import (
 )
 from .model import check_hermitian, hermitian_inverse, real_form
 from .optimality import is_blmmse_optimal
-from .orthant import DEFAULT_REL_TOL, arcsin_clamped, positive_orthant_mean
+from .orthant import (
+    DEFAULT_REL_TOL,
+    _coupling_components,
+    arcsin_clamped,
+    positive_orthant_mean,
+)
 from .quantizer import arcsine_matrix
 
 # Relative tolerance for structural pattern detection (real covariance,
@@ -220,3 +233,53 @@ def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", see
     closed = method == "auto" and res.method == "closed-form"
     return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
                     pr_r=float(res.prob))
+
+
+def _sign_tables(stats, model, rel_tol):
+    """Batch posterior mean (r_real, r_imag) -> h_hat of one sweep point
+    from per-block sign tables, which rest on the two symmetries the module
+    docstring names.
+
+    Block j keeps 2^(|B|-1) rows, indexed by its signs folded by the sign
+    of its first coordinate, and solves a row the first time a chunk hits
+    it.  It integrates at seed 1000 j, as positive_orthant_mean does over
+    the whole of S, and rows are lifted by mmse_estimate's expression, so
+    every estimate equals mmse_estimate's h_hat bit for bit.
+    """
+    t = stats.omega_b.shape[0]
+    cov = 0.5 * real_form(stats.omega_b)
+    blocks = _coupling_components(cov)
+    # column j gives coordinate k of block j the bit weight 2^k
+    weights = np.zeros((2 * t, len(blocks)), dtype=np.int64)
+    for j, comp in enumerate(blocks):
+        weights[comp, j] = 1 << np.arange(len(comp))
+    all_bits = weights.sum(axis=0)
+    tables = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
+              for comp in blocks]
+    filled = [np.zeros(len(table), dtype=bool) for table in tables]
+
+    def solve(j, row):
+        comp = blocks[j]
+        signs = np.ones(2 * t)
+        signs[comp[1:]] = 1.0 - 2.0 * ((row >> np.arange(len(comp) - 1)) & 1)
+        sub = signs[comp, None] * cov[np.ix_(comp, comp)] * signs[None, comp]
+        mean = np.zeros(2 * t)
+        mean[comp] = positive_orthant_mean(sub, rel_tol=rel_tol, seed=1000 * j).mean
+        folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
+        return stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
+
+    def evaluate(r_real, r_imag):
+        bits = (np.concatenate([r_real, r_imag], axis=1) < 0) @ weights
+        first = bits & 1
+        # fold by the first coordinate's sign, then drop its bit
+        rows = (bits ^ (first * all_bits)) >> 1
+        h_hat = np.zeros((r_real.shape[0], model.dims.channel_len), dtype=complex)
+        for j, table in enumerate(tables):
+            idx = rows[:, j]
+            for row in np.unique(idx[~filled[j][idx]]):
+                table[row] = solve(j, int(row))
+                filled[j][row] = True
+            h_hat += (1.0 - 2.0 * first[:, j])[:, None] * table[idx]
+        return h_hat
+
+    return evaluate

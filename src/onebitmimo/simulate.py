@@ -18,9 +18,10 @@ import numpy as np
 
 from .channel_models import bessel_tx_covariance, exponential_covariance
 from .estimators import (
+    _sign_tables,
     blmmse_operator,
     matches_simo3,
-    mmse_estimate,
+    mmse_estimate,  # not called here: perfbench/tracing.py wraps simulate.mmse_estimate
     simo3_closed_batch,
     tx_covariance,
 )
@@ -34,7 +35,7 @@ from .model import (
 )
 from .optimality import is_blmmse_optimal
 from .orthant import DEFAULT_REL_TOL, MAX_QMC_DIM, check_rel_tol
-from .quantizer import observation_from_signs, sgn
+from .quantizer import sgn
 
 NOISE_VAR = 1.0
 
@@ -241,7 +242,16 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
 
 
 def _resolve_estimator(name, stats, model, rel_tol):
-    """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat."""
+    """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat.
+
+    blmmse, and mmse where it is exactly linear, apply the linear map.  A
+    real three-antenna single-input mmse point takes simo3_closed_batch;
+    every other mmse point takes per-block sign tables (see
+    estimators._sign_tables), which rest on two symmetries of the posterior
+    mean: it is a sum of one share per coupled block of S, each depending
+    on that block's signs only, and each share flips sign with its block's
+    signs.  A block B costs at most 2^(|B|-1) solves per point.
+    """
     verdict = is_blmmse_optimal(stats) if name == "mmse" else None
     if verdict is None or verdict.optimal:
         w = blmmse_operator(stats, model)
@@ -254,22 +264,7 @@ def _resolve_estimator(name, stats, model, rel_tol):
             f"numeric posterior mean needs orthant integrals over a coupled block "
             f"of {verdict.largest_block} coordinates > {MAX_QMC_DIM}"
         )
-
-    cache = {}
-
-    def general_eval(rr, ri):
-        out = np.empty((rr.shape[0], model.dims.channel_len), dtype=complex)
-        for i in range(rr.shape[0]):
-            key = (rr[i] > 0).tobytes() + (ri[i] > 0).tobytes()
-            hit = cache.get(key)
-            if hit is None:
-                obs = observation_from_signs(rr[i], ri[i])
-                hit = mmse_estimate(stats, model, obs, rel_tol=rel_tol).h_hat
-                cache[key] = hit
-            out[i] = hit
-        return out
-
-    return general_eval
+    return _sign_tables(stats, model, rel_tol)
 
 
 def build_point(config, snr_db):

@@ -1,11 +1,13 @@
 """Monte Carlo sweep harness: determinism, CSV output, and statistical
 agreement with the analytic scalar error."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import onebitmimo.estimators as estimators
 import onebitmimo.simulate as simulate
 from onebitmimo import (
     CapabilityError,
@@ -17,10 +19,15 @@ from onebitmimo import (
     SystemDims,
     build_covariance,
     build_pilots,
+    build_point,
     exponential_covariance,
+    mmse_estimate,
+    observation_from_signs,
     render_csv,
     run_mse_sweep,
 )
+from onebitmimo.model import real_form
+from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import NOISE_VAR
 
 
@@ -172,7 +179,9 @@ def test_real_nine_antenna_sweep_runs_on_two_blocks():
 
 def test_general_estimator_used_in_sweep():
     # two complex pilots on one antenna admit no closed form; the sweep
-    # caches the 16 possible sign patterns, so the run stays cheap
+    # solves each of the 8 sign patterns of the one coupled 4-block, up to
+    # a flip of all its signs, once and looks the rest up, so the run stays
+    # cheap
     cfg = SweepConfig(
         dims=SystemDims(1, 1, 2),
         covariance={"kind": "identity"},
@@ -237,10 +246,10 @@ def test_unservable_point_fails_before_any_sampling(monkeypatch):
 
 
 def test_unstandardized_real_simo3_sweep_takes_closed_form(monkeypatch):
-    def reduction(*args, **kwargs):
-        raise AssertionError("the sweep fell back to the per-pattern reduction")
+    def tables(*args, **kwargs):
+        raise AssertionError("the sweep fell back to the sign tables")
 
-    monkeypatch.setattr(simulate, "mmse_estimate", reduction)
+    monkeypatch.setattr(simulate, "_sign_tables", tables)
     scale = np.sqrt([2.0, 1.0, 0.5])
     sigma = scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]
     cfg = SweepConfig(
@@ -345,3 +354,100 @@ def test_result_types():
     result = run_mse_sweep(scalar_config(trials=50))
     assert isinstance(result, MseSweepResult)
     assert {r.estimator for r in result.rows} == {"mmse", "blmmse"}
+
+
+# ---------------------------------------------------------------------------
+# per-block sign tables of the numeric posterior mean
+
+
+def general_sweep_config(n_rx=2, rho=0.9, phi=0.7, **overrides):
+    """Scalar-pilot 1 x n_rx sweep on sigma_ik = rho^|i-k| e^{j phi (i-k)}:
+    for phi != 0, S is one coupled block of 2 n_rx coordinates."""
+    lag = np.arange(n_rx)[:, None] - np.arange(n_rx)[None, :]
+    sigma = rho ** np.abs(lag) * np.exp(1j * phi * lag)
+    base = dict(
+        dims=SystemDims(1, n_rx, 1),
+        covariance={"kind": "custom", "real": sigma.real.tolist(),
+                    "imag": sigma.imag.tolist()},
+        pilots={"kind": "scalar"},
+        snr_grid_db=(0.0, 10.0, 20.0),
+        estimators=("mmse", "blmmse"),
+        trials=2_000,
+        seed=1,
+        rel_tol=1e-3,
+    )
+    base.update(overrides)
+    return SweepConfig(**base)
+
+
+def real_two_block_config(**overrides):
+    # a real covariance splits S into a real-part and an imaginary-part
+    # 4-block, both integrated numerically
+    return general_sweep_config(n_rx=4, phi=0.0, rho=0.7, **overrides)
+
+
+def _tables_and_reduction(cfg, snr_db, r_real, r_imag):
+    stats, model = build_point(cfg, snr_db)
+    evaluate = simulate._resolve_estimator("mmse", stats, model, cfg.rel_tol)
+    h_tables = evaluate(r_real, r_imag)
+    h_reduction = np.array([
+        mmse_estimate(stats, model, observation_from_signs(rr, ri), rel_tol=cfg.rel_tol).h_hat
+        for rr, ri in zip(r_real, r_imag)
+    ])
+    return evaluate, h_tables, h_reduction
+
+
+def test_sign_tables_equal_the_reduction_on_every_pattern():
+    cfg = general_sweep_config()
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    rr, ri = signs[:, :2], signs[:, 2:]
+    for snr_db in cfg.snr_grid_db:
+        evaluate, h_tables, h_reduction = _tables_and_reduction(cfg, snr_db, rr, ri)
+        assert np.array_equal(h_tables, h_reduction)
+        assert np.array_equal(evaluate(-rr, -ri), -h_tables)
+
+
+def test_sign_tables_equal_the_reduction_on_two_numeric_blocks():
+    cfg = real_two_block_config()
+    stats, _ = build_point(cfg, 10.0)
+    assert [len(b) for b in _coupling_components(real_form(stats.omega_b))] == [4, 4]
+    signs = np.where(np.random.default_rng(11).random((24, 8)) < 0.5, -1.0, 1.0)
+    rr, ri = signs[:, :4], signs[:, 4:]
+    evaluate, h_tables, h_reduction = _tables_and_reduction(cfg, 10.0, rr, ri)
+    assert np.array_equal(h_tables, h_reduction)
+    assert np.array_equal(evaluate(-rr, -ri), -h_tables)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = estimators.positive_orthant_mean
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "positive_orthant_mean", counted)
+    return calls
+
+
+def test_sign_tables_solve_each_block_pattern_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    # 2000 trials hit all 16 patterns, which fold onto the 8 rows of the
+    # block, however the trials are chunked
+    for chunk in (simulate._CHUNK, 7):
+        calls.clear()
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        run_mse_sweep(general_sweep_config(snr_grid_db=(10.0,)))
+        assert len(calls) == 8
+    for trials in (20, 3_000):
+        calls.clear()
+        run_mse_sweep(real_two_block_config(snr_grid_db=(10.0,), estimators=("mmse",),
+                                            trials=trials))
+        assert 0 < len(calls) <= 2 * 8
+
+
+def test_sign_tables_fill_order_leaves_rows_unchanged(monkeypatch):
+    cfg = general_sweep_config(trials=500)
+    baseline = run_mse_sweep(cfg)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    assert run_mse_sweep(cfg).rows == baseline.rows
