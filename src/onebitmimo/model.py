@@ -256,6 +256,10 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     noise = (z[:, 2 * nh : 2 * nh + nn] + 1j * z[:, 2 * nh + nn :]) * np.sqrt(
         stats.noise_var / 2.0
     )
+    # numpy multiplies a single row by a matrix-vector kernel whose last bit
+    # can differ from the batched product, so a lone draw goes in as two rows
+    if n_samples == 1:
+        h_white = np.repeat(h_white, 2, axis=0)
     h = h_white @ stats.sigma_factor.T
-    b = h @ model.kron_matrix.T + noise
-    return h, noise, b
+    b = (h @ model.kron_matrix.T)[:n_samples] + noise
+    return h[:n_samples], noise, b

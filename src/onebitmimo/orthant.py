@@ -12,9 +12,11 @@ likely coordinate conditioned first), and the sequential-conditioning
 integrand is averaged over randomly shifted copies of a rank-1 lattice
 rule whose generating vector comes from the fast component-by-component
 (CBC) construction of Nuyens and Cools.  The spread over the shifts gives
-an error estimate alongside the value.  The truncated mean is reduced to
-a vector of one-dimension-lower orthant probabilities of conditional
-covariances (Tallis 1961), so it inherits whichever path those take.
+an error estimate alongside the value.  Each round is one vectorised
+integrand pass over all of its shifts, with the points per call bounded.
+The truncated mean is reduced to a vector of one-dimension-lower orthant
+probabilities of conditional covariances (Tallis 1961), so it inherits
+whichever path those take.
 """
 
 import math
@@ -49,6 +51,8 @@ _ARCSIN_SLACK = 1e-12
 _N_SHIFTS = 10
 # Lattice points per shift in the first round, per coupled dimension.
 _POINTS_PER_DIM = 100
+# Most points one integrand call evaluates, unless a single shift has more.
+_MAX_CALL_POINTS = 2**16
 
 
 def arcsin_clamped(x):
@@ -210,7 +214,11 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
 
     Each round uses _N_SHIFTS independent shifts of a prime-point lattice,
     the point count growing by about sqrt(2) per round, and rounds are
-    combined with inverse-variance weights.  Returns (estimate,
+    combined with inverse-variance weights.  A round is one vectorised
+    integrand pass over its shifts, split into calls of whole shifts of at
+    most _MAX_CALL_POINTS points (one shift per call when a shift alone is
+    larger); each shift's mean is the sum of its own row, so the result is
+    the same as integrating shift by shift.  Returns (estimate,
     error_estimate) where the error is one standard error.  Raises
     AccuracyError when max_samples integrand evaluations do not reach
     rel_tol relative accuracy.
@@ -232,10 +240,18 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
         n_pts = _prime_at_most(max(2, min(target, (max_samples - evals) // _N_SHIFTS)))
         z = _cbc_vector(n - 1, n_pts)
         base = np.arange(n_pts)[:, None] * z[None, :] % n_pts / n_pts
-        means = np.empty(_N_SHIFTS)
-        for s, shift in enumerate(rng.random((_N_SHIFTS, n - 1))):
-            pts = np.abs(2.0 * np.mod(base + shift, 1.0) - 1.0)
-            means[s] = _integrand_sum(chol, pts) / n_pts
+        shifts = rng.random((_N_SHIFTS, n - 1))
+        # whole shifts per integrand call, as many as fit in _MAX_CALL_POINTS
+        per_call = max(1, _MAX_CALL_POINTS // n_pts)
+        sums = []
+        for first in range(0, _N_SHIFTS, per_call):
+            pts = base[None] + shifts[first : first + per_call, None, :]
+            # every value lies in [0, 2), so this is mod 1 to the bit
+            pts -= pts >= 1.0
+            pts = np.abs(2.0 * pts - 1.0)
+            values = _integrand(chol, pts.reshape(-1, n - 1)).reshape(len(pts), n_pts)
+            sums.extend(float(row.sum()) for row in values)
+        means = np.array(sums) / n_pts
         evals += _N_SHIFTS * n_pts
         round_err = float(means.std(ddof=1) / math.sqrt(_N_SHIFTS))
         # inverse-variance weight of this round against all earlier ones
@@ -257,8 +273,8 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
         target = round(target * math.sqrt(2.0))
 
 
-def _integrand_sum(chol, pts):
-    """Sum of sequential-conditioning integrand values over points in [0,1)^(L-1)."""
+def _integrand(chol, pts):
+    """Sequential-conditioning integrand values at points in [0,1)^(L-1)."""
     n_pts, _ = pts.shape
     dim = chol.shape[0]
     prob = np.full(n_pts, 0.5)
@@ -272,7 +288,7 @@ def _integrand_sum(chol, pts):
         if i < dim - 1:
             u = (1.0 - e) + pts[:, i] * e
             y[:, i] = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-    return float(prob.sum())
+    return prob
 
 
 def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,

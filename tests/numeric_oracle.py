@@ -8,21 +8,30 @@ with the conditional covariance of coordinate k integrated at seed + k + 1.
 The Monte Carlo oracles (`orthant_probability_mc`, `positive_orthant_mean_mc`)
 count and average plain Philox draws, on streams 1 and 2 of the seed, and
 `truncated_mean_cf_2d` is the bivariate first-moment closed form.
+`qmc_orthant_per_shift` is the lattice integrator as it was before a round
+became one integrand pass over all of its shifts: one integrand call and one
+sum per shift, for bit-for-bit comparison with `_qmc_orthant`.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from onebitmimo import sign_covariance, standardize
 from onebitmimo.exceptions import AccuracyError, DimensionError, DomainError
 from onebitmimo.model import _philox, check_hermitian
 from onebitmimo.orthant import (
     _ARCSIN_SLACK,
+    _N_SHIFTS,
+    _POINTS_PER_DIM,
     DEFAULT_MAX_SAMPLES,
     DEFAULT_REL_TOL,
+    _cbc_vector,
     _conditional_covariance,
+    _prime_at_most,
     _qmc_orthant,
+    _reordered_cholesky,
     _validate_spd,
 )
 
@@ -56,6 +65,59 @@ def numeric_mmse(stats, model, obs, seed, rel_tol=DEFAULT_REL_TOL):
     folded = obs.r_real * mean[:t] + 1j * obs.r_imag * mean[t:]
     h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
     return h_hat, prob
+
+
+def _integrand_sum(chol, pts):
+    """Sum of sequential-conditioning integrand values over points in [0,1)^(L-1)."""
+    n_pts, _ = pts.shape
+    dim = chol.shape[0]
+    prob = np.full(n_pts, 0.5)
+    y = np.empty((n_pts, dim - 1))
+    u = 0.5 + 0.5 * pts[:, 0]
+    y[:, 0] = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    for i in range(1, dim):
+        s = y[:, :i] @ chol[i, :i]
+        e = ndtr(s / chol[i, i])
+        prob *= e
+        if i < dim - 1:
+            u = (1.0 - e) + pts[:, i] * e
+            y[:, i] = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    return float(prob.sum())
+
+
+def qmc_orthant_per_shift(corr, rel_tol, max_samples, seed):
+    """`_qmc_orthant` with one integrand call per shift of each round.
+
+    Same rounds, points, shifts, stopping rule and AccuracyError exit, so
+    the two return the same (estimate, error_estimate) bit for bit.
+    """
+    n = corr.shape[0]
+    chol = _reordered_cholesky(corr)
+    rng = np.random.Generator(_philox(seed, 10_000))
+    est, err = 0.0, math.inf
+    evals = 0
+    target = _POINTS_PER_DIM * n
+    while True:
+        n_pts = _prime_at_most(max(2, min(target, (max_samples - evals) // _N_SHIFTS)))
+        z = _cbc_vector(n - 1, n_pts)
+        base = np.arange(n_pts)[:, None] * z[None, :] % n_pts / n_pts
+        means = np.empty(_N_SHIFTS)
+        for s, shift in enumerate(rng.random((_N_SHIFTS, n - 1))):
+            pts = np.abs(2.0 * np.mod(base + shift, 1.0) - 1.0)
+            means[s] = _integrand_sum(chol, pts) / n_pts
+        evals += _N_SHIFTS * n_pts
+        round_err = float(means.std(ddof=1) / math.sqrt(_N_SHIFTS))
+        if err == math.inf or round_err == 0.0:
+            weight = 1.0
+        else:
+            weight = err**2 / (err**2 + round_err**2)
+        est += weight * (float(means.mean()) - est)
+        err = math.sqrt(weight) * round_err
+        if est > 0.0 and err <= rel_tol * est:
+            return est, err
+        if evals >= max_samples:
+            raise AccuracyError("budget spent", estimate=est, error_estimate=err)
+        target = round(target * math.sqrt(2.0))
 
 
 def truncated_mean_cf_2d(psi):

@@ -227,6 +227,20 @@ def test_sampling_is_chunk_invariant_inside_a_block():
         np.testing.assert_array_equal(b, b_all[start : start + 5])
 
 
+def test_sampling_one_row_equals_its_batch_row():
+    # a lone draw must not take a different matrix-product path than a batch
+    rng = np.random.default_rng(9)
+    model = build_pilot_model(np.ones((1, 1), dtype=complex), 2)
+    for _ in range(200):
+        stats = second_order_stats(model, random_hermitian_pd(2, rng), 0.5)
+        batch = sample_realizations(stats, model, seed=9, n_samples=8)
+        for t in (0, 5):
+            alone = sample_realizations(stats, model, seed=9, n_samples=1, start_stream=t)
+            for x, y in zip(alone, batch):
+                assert x.shape == (1, y.shape[1])
+                np.testing.assert_array_equal(x[0], y[t])
+
+
 def test_sampling_large_seeds_and_validation():
     model = build_pilot_model(np.ones((1, 1), dtype=complex), 1)
     stats = second_order_stats(model, np.eye(1, dtype=complex), 1.0)

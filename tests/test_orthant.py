@@ -22,9 +22,16 @@ from onebitmimo import (
     sign_covariance,
     standardize,
 )
+from onebitmimo import orthant
 from onebitmimo.config import sweep_config_from_dict
 from onebitmimo.model import COUPLING_TOL
-from onebitmimo.orthant import MAX_QMC_DIM, _coupling_components, arcsin_clamped
+from onebitmimo.orthant import (
+    _N_SHIFTS,
+    DEFAULT_MAX_SAMPLES,
+    MAX_QMC_DIM,
+    _coupling_components,
+    arcsin_clamped,
+)
 from onebitmimo.simulate import build_point
 
 from numeric_oracle import (
@@ -32,6 +39,7 @@ from numeric_oracle import (
     numeric_orthant_probability,
     orthant_probability_mc,
     positive_orthant_mean_mc,
+    qmc_orthant_per_shift,
     truncated_mean_cf_2d,
 )
 
@@ -172,6 +180,72 @@ def test_qmc_accuracy_error_carries_estimate():
         orthant_probability(psi, rel_tol=1e-10, max_samples=50_000, seed=0)
     assert info.value.estimate > 0.0
     assert info.value.error_estimate > 0.0
+
+
+def record_rounds(monkeypatch):
+    """Log each lattice round of the integrator as [n_pts, rows of each
+    integrand call]."""
+    rounds = []
+    cbc_vector, integrand = orthant._cbc_vector, orthant._integrand
+
+    def cbc_spy(dim, n_pts):
+        rounds.append([n_pts])
+        return cbc_vector(dim, n_pts)
+
+    def integrand_spy(chol, pts):
+        rounds[-1].append(pts.shape[0])
+        return integrand(chol, pts)
+
+    monkeypatch.setattr(orthant, "_cbc_vector", cbc_spy)
+    monkeypatch.setattr(orthant, "_integrand", integrand_spy)
+    return rounds
+
+
+def integrate_both(corr, rel_tol, max_samples, seed):
+    """Outcome of the one-pass round and of the per-shift loop: (estimate,
+    error), or the estimate and error an AccuracyError carries."""
+    out = []
+    for integrate in (orthant._qmc_orthant, qmc_orthant_per_shift):
+        try:
+            out.append(integrate(corr, rel_tol, max_samples, seed))
+        except AccuracyError as exc:
+            out.append(("AccuracyError", exc.estimate, exc.error_estimate))
+    return out
+
+
+def test_round_pass_equals_per_shift_loop(monkeypatch):
+    rng = np.random.default_rng(61)
+    for n in range(4, 13):
+        new, old = integrate_both(random_correlation(n, rng), 1e-3, DEFAULT_MAX_SAMPLES, n)
+        assert new == old
+    rounds = record_rounds(monkeypatch)
+    new, old = integrate_both(random_correlation(8, rng), 1e-4, DEFAULT_MAX_SAMPLES, 2)
+    assert len(rounds) >= 3
+    assert new == old
+
+
+@pytest.mark.parametrize("cap", [2**16, 2**10])
+def test_round_pass_bounds_points_per_call(monkeypatch, cap):
+    # the budget runs out after a round outgrows cap / _N_SHIFTS points; at
+    # 2**10 single shifts outgrow the cap itself and go one to a call
+    monkeypatch.setattr(orthant, "_MAX_CALL_POINTS", cap)
+    rounds = record_rounds(monkeypatch)
+    corr = random_correlation(8, np.random.default_rng(3))
+    new, old = integrate_both(corr, 1e-6, 300_000, 1)
+    assert new[0] == "AccuracyError"
+    assert new == old
+    for n_pts, *rows in rounds:
+        assert sum(rows) == _N_SHIFTS * n_pts
+        assert all(r % n_pts == 0 and r <= max(cap, n_pts) for r in rows)
+    assert any(len(rows) > 1 for _, *rows in rounds)
+    assert cap == 2**16 or any(n_pts > cap for n_pts, *_ in rounds)
+
+
+def test_first_round_is_one_integrand_call(monkeypatch):
+    rounds = record_rounds(monkeypatch)
+    orthant._qmc_orthant(random_correlation(5, np.random.default_rng(7)), 1e-3,
+                         DEFAULT_MAX_SAMPLES, 0)
+    assert rounds[0] == [499, _N_SHIFTS * 499]
 
 
 def test_reordering_is_invisible():
