@@ -5,8 +5,8 @@ Two families:
 * ``blmmse_estimate`` is the best estimator that is linear in the sign
   vector r; it inverts the arcsine-law correlation of r and is cheap.
 * ``mmse_estimate`` is the exact posterior mean.  The sign-folded
-  observation x = Diag(r) [Re b; Im b] is N(0, S) with S built by
-  ``sign_covariance``, and the sign pattern r is the event x > 0.  So
+  observation x = Diag(r) [Re b; Im b] is N(0, S), S the sign-flipped
+  half real form of Omega, and the sign pattern r is the event x > 0.  So
   Pr(r) is the orthant probability P(S), and E[x | x > 0], from which the
   posterior mean follows linearly, reduces to orthant probabilities of
   dimension one lower (Tallis 1961); coupled blocks of S of size at most
@@ -17,16 +17,15 @@ most one off-diagonal coupling per row.  C and S share their coupled
 blocks, so this is the condition that every block of S has size at most
 two (see :mod:`onebitmimo.optimality`); each such block is closed-form.
 
-Sweeps evaluate the posterior mean of a whole chunk of sign patterns at
-once.  Real three-antenna single-input configurations use
-``simo3_closed_batch``, the posterior mean written out in closed form.
-Every other non-linear point uses per-block sign tables, which rest on two
-symmetries: the truncated mean factors over the coupled blocks of S, whose
-split is the same for every sign pattern, so each block's share of the
-estimate depends on its own signs only; and flipping every sign of a block
-leaves its covariance unchanged, so that share is odd in those signs.  A
-block B therefore needs at most 2^(|B|-1) solves, each made once per
-sweep point and looked up for every later trial.
+The posterior mean has one evaluator, the per-block sign tables of
+``_sign_tables``: ``mmse_estimate`` reads one row, a sweep point a chunk
+of trials.  They rest on two symmetries: the truncated mean factors over
+the coupled blocks of S, whose split is the same for every sign pattern,
+so each block's share of the estimate and factor of Pr(r) depend on its
+own signs only; and flipping every sign of a block leaves its covariance
+unchanged, so that share is odd and that factor even in those signs.  A
+block B thus needs at most 2^(|B|-1) solves.  Sweeps of real
+three-antenna single-input points use ``simo3_closed_batch`` instead.
 """
 
 import math
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
+    CapabilityError,
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
@@ -43,6 +43,7 @@ from .model import check_hermitian, hermitian_inverse, real_form
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_REL_TOL,
+    MAX_QMC_DIM,
     _coupling_components,
     arcsin_clamped,
     positive_orthant_mean,
@@ -71,22 +72,6 @@ def _check_obs(stats, obs):
         raise DimensionError(
             f"observation has length {obs.r_real.shape[0]}, expected {t}"
         )
-
-
-def sign_covariance(stats, obs):
-    """Covariance S of the sign-folded observation x = Diag(r) [Re b; Im b]
-    for one sign pattern.
-
-    With L = Diag([Re r; Im r]), S is the 2 tau N_R real symmetric PD matrix
-
-        (1/2) L [[Re Omega, -Im Omega], [Im Omega, Re Omega]] L,
-
-    and the sign pattern r is the event x > 0.
-    """
-    _check_obs(stats, obs)
-    signs = np.concatenate([obs.r_real, obs.r_imag])
-    cov = 0.5 * real_form(stats.omega_b)
-    return signs[:, None] * cov * signs[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +203,65 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
 def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
-    Every call takes the orthant reduction over the sign-folded
-    covariance S.  method only picks the label: "auto" says "mmse-closed"
-    when no orthant needed the numeric integrator and "mmse-general"
-    otherwise; "general" always says "mmse-general".
+    One row of the per-block sign tables of S (see _sign_tables).  method
+    only picks the label: "auto" says "mmse-closed" when every coupled
+    block of S is closed-form (at most three coordinates) and
+    "mmse-general" otherwise; "general" always says "mmse-general".
     """
     _check_obs(stats, obs)
     if method not in ("auto", "general"):
         raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
-    res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol, seed=seed)
-    t = stats.omega_b.shape[0]
-    folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]
-    h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
-    closed = method == "auto" and res.method == "closed-form"
-    return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
-                    pr_r=float(res.prob))
+    evaluate, closed = _sign_tables(stats, model, rel_tol, seed)
+    h_hat, pr = evaluate(obs.r_real[None, :], obs.r_imag[None, :])
+    return Estimate(h_hat=h_hat[0],
+                    estimator="mmse-closed" if method == "auto" and closed else "mmse-general",
+                    pr_r=float(pr[0]))
 
 
-def _sign_tables(stats, model, rel_tol):
-    """Batch posterior mean (r_real, r_imag) -> h_hat of one sweep point
-    from per-block sign tables, which rest on the two symmetries the module
-    docstring names.
+def _sign_tables(stats, model, rel_tol, seed=0):
+    """(evaluate, closed): the per-block sign tables of the posterior mean,
+    which rest on the two symmetries the module docstring names.
 
-    Block j keeps 2^(|B|-1) rows, indexed by its signs folded by the sign
-    of its first coordinate, and solves a row the first time a chunk hits
-    it.  It integrates at seed 1000 j, as positive_orthant_mean does over
-    the whole of S, and rows are lifted by mmse_estimate's expression, so
-    every estimate equals mmse_estimate's h_hat bit for bit.
+    evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
+    (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
+    block has at most three coordinates; a block beyond MAX_QMC_DIM raises
+    CapabilityError here, before any solve.  Block j keeps 2^(|B|-1) rows,
+    indexed by its signs folded by the sign of its first coordinate, and
+    solves a row the first time an evaluation hits it: its share of h_hat,
+    its truncated mean lifted by sigma_ch A^H Omega^{-1}, next to P_B, at
+    seed + 1000 j, as positive_orthant_mean solves block j of S.
     """
     t = stats.omega_b.shape[0]
     cov = 0.5 * real_form(stats.omega_b)
     blocks = _coupling_components(cov)
+    largest = max(len(comp) for comp in blocks)
+    if largest > MAX_QMC_DIM:
+        raise CapabilityError(
+            f"numeric posterior mean needs orthant integrals over a coupled block "
+            f"of {largest} coordinates > {MAX_QMC_DIM}"
+        )
     # column j gives coordinate k of block j the bit weight 2^k
     weights = np.zeros((2 * t, len(blocks)), dtype=np.int64)
     for j, comp in enumerate(blocks):
         weights[comp, j] = 1 << np.arange(len(comp))
     all_bits = weights.sum(axis=0)
-    tables = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
+    shares = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
               for comp in blocks]
-    filled = [np.zeros(len(table), dtype=bool) for table in tables]
+    probs = [np.empty(len(share)) for share in shares]
+    filled = [np.zeros(len(share), dtype=bool) for share in shares]
 
     def solve(j, row):
         comp = blocks[j]
         signs = np.ones(2 * t)
         signs[comp[1:]] = 1.0 - 2.0 * ((row >> np.arange(len(comp) - 1)) & 1)
         sub = signs[comp, None] * cov[np.ix_(comp, comp)] * signs[None, comp]
+        res = positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
         mean = np.zeros(2 * t)
-        mean[comp] = positive_orthant_mean(sub, rel_tol=rel_tol, seed=1000 * j).mean
+        mean[comp] = res.mean
         folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
-        return stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
+        shares[j][row] = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
+        probs[j][row] = res.prob
+        filled[j][row] = True
 
     def evaluate(r_real, r_imag):
         bits = (np.concatenate([r_real, r_imag], axis=1) < 0) @ weights
@@ -274,12 +269,13 @@ def _sign_tables(stats, model, rel_tol):
         # fold by the first coordinate's sign, then drop its bit
         rows = (bits ^ (first * all_bits)) >> 1
         h_hat = np.zeros((r_real.shape[0], model.dims.channel_len), dtype=complex)
-        for j, table in enumerate(tables):
+        pr = np.ones(r_real.shape[0])
+        for j in range(len(blocks)):
             idx = rows[:, j]
             for row in np.unique(idx[~filled[j][idx]]):
-                table[row] = solve(j, int(row))
-                filled[j][row] = True
-            h_hat += (1.0 - 2.0 * first[:, j])[:, None] * table[idx]
-        return h_hat
+                solve(j, int(row))
+            h_hat += (1.0 - 2.0 * first[:, j])[:, None] * shares[j][idx]
+            pr *= probs[j][idx]
+        return h_hat, pr
 
-    return evaluate
+    return evaluate, largest <= 3

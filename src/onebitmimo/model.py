@@ -149,7 +149,7 @@ class SecondOrderStats:
     omega_b: np.ndarray
     omega_inv: np.ndarray
     # Factor F with sigma_ch = F F^H, kept for sampling channel draws.
-    sigma_factor: np.ndarray = field(repr=False, default=None)
+    sigma_factor: np.ndarray = field(repr=False)
 
 
 def real_form(m):

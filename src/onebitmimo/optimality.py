@@ -3,7 +3,7 @@
 The posterior mean is linear in the sign vector exactly when every row of
 the orthant precision matrix C = S^{-1}/2 couples to at most one other
 coordinate, where S is the covariance of the sign-folded observation
-(estimators.sign_covariance).  A PD matrix and its inverse have the same
+(see :mod:`onebitmimo.estimators`).  A PD matrix and its inverse have the same
 coupled blocks, so this holds exactly when S splits into blocks of at most
 two coordinates: the blocks the orthant layer splits S into.
 Sign flips only change signs of entries of S, never which coordinates

@@ -22,10 +22,11 @@ from .estimators import (
     blmmse_operator,
     matches_simo3,
     mmse_estimate,  # not called here: perfbench/tracing.py wraps simulate.mmse_estimate
+    mmse_linear_operator,
     simo3_closed_batch,
     tx_covariance,
 )
-from .exceptions import CapabilityError, DimensionError, DomainError
+from .exceptions import DimensionError, DomainError
 from .model import (
     STREAM_CONTRACT,
     SystemDims,
@@ -33,8 +34,7 @@ from .model import (
     sample_realizations,
     second_order_stats,
 )
-from .optimality import is_blmmse_optimal
-from .orthant import DEFAULT_REL_TOL, MAX_QMC_DIM, check_rel_tol
+from .orthant import DEFAULT_REL_TOL, check_rel_tol
 from .quantizer import sgn
 
 NOISE_VAR = 1.0
@@ -244,27 +244,22 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
 def _resolve_estimator(name, stats, model, rel_tol):
     """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat.
 
-    blmmse, and mmse where it is exactly linear, apply the linear map.  A
-    real three-antenna single-input mmse point takes simo3_closed_batch;
-    every other mmse point takes per-block sign tables (see
-    estimators._sign_tables), which rest on two symmetries of the posterior
-    mean: it is a sum of one share per coupled block of S, each depending
-    on that block's signs only, and each share flips sign with its block's
-    signs.  A block B costs at most 2^(|B|-1) solves per point.
+    blmmse, and mmse where it is exactly linear, apply the linear map W of
+    blmmse_operator or mmse_linear_operator.  A non-linear real
+    three-antenna single-input mmse point takes simo3_closed_batch; every
+    other mmse point reads the per-block sign tables that mmse_estimate
+    reads one row of (estimators._sign_tables), at most 2^(|B|-1) solves
+    per coupled block B of S.
     """
-    verdict = is_blmmse_optimal(stats) if name == "mmse" else None
-    if verdict is None or verdict.optimal:
-        w = blmmse_operator(stats, model)
+    linear = blmmse_operator if name == "blmmse" else mmse_linear_operator
+    w = linear(stats, model)
+    if w is not None:
         return lambda rr, ri: (rr + 1j * ri) @ w.T
     if matches_simo3(stats, model):
         args = (stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var)
         return lambda rr, ri: simo3_closed_batch(*args, rr, ri)[0]
-    if verdict.largest_block > MAX_QMC_DIM:
-        raise CapabilityError(
-            f"numeric posterior mean needs orthant integrals over a coupled block "
-            f"of {verdict.largest_block} coordinates > {MAX_QMC_DIM}"
-        )
-    return _sign_tables(stats, model, rel_tol)
+    evaluate, _ = _sign_tables(stats, model, rel_tol)
+    return lambda rr, ri: evaluate(rr, ri)[0]
 
 
 def build_point(config, snr_db):
@@ -321,8 +316,9 @@ def run_mse_sweep(config):
             done += n
         for name in config.estimators:
             v = np.concatenate(sq_errors[name]) / dims.channel_len
-            mean = math.fsum(v) / trials
-            mean_sq = math.fsum(v * v) / trials
+            # fsum iterates Python floats faster than np.float64 scalars
+            mean = math.fsum(v.tolist()) / trials
+            mean_sq = math.fsum((v * v).tolist()) / trials
             stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / trials)
             rows.append(
                 SweepRow(

@@ -11,6 +11,12 @@ count and average plain Philox draws, on streams 1 and 2 of the seed, and
 `qmc_orthant_per_shift` is the lattice integrator as it was before a round
 became one integrand pass over all of its shifts: one integrand call and one
 sum per shift, for bit-for-bit comparison with `_qmc_orthant`.
+
+`sign_covariance` builds the sign-folded covariance S of one observation,
+and `whole_s_mmse` is the posterior mean as one `positive_orthant_mean`
+call over the whole of S, the route `mmse_estimate` took before it became
+one row of the per-block sign tables; it is the bit-for-bit oracle of
+those tables.
 """
 
 import math
@@ -18,9 +24,10 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from onebitmimo import sign_covariance, standardize
+from onebitmimo import Estimate, positive_orthant_mean, standardize
+from onebitmimo.estimators import _check_obs
 from onebitmimo.exceptions import AccuracyError, DimensionError, DomainError
-from onebitmimo.model import _philox, check_hermitian
+from onebitmimo.model import _philox, check_hermitian, real_form
 from onebitmimo.orthant import (
     _ARCSIN_SLACK,
     _N_SHIFTS,
@@ -39,6 +46,42 @@ from onebitmimo.orthant import (
 # leaves the values unchanged.
 _PROB_CHUNK = 2_000_000
 _MEAN_CHUNK = 1_000_000
+
+
+def sign_covariance(stats, obs):
+    """Covariance S of the sign-folded observation x = Diag(r) [Re b; Im b]
+    for one sign pattern.
+
+    With L = Diag([Re r; Im r]), S is the 2 tau N_R real symmetric PD matrix
+
+        (1/2) L [[Re Omega, -Im Omega], [Im Omega, Re Omega]] L,
+
+    and the sign pattern r is the event x > 0.
+    """
+    _check_obs(stats, obs)
+    signs = np.concatenate([obs.r_real, obs.r_imag])
+    cov = 0.5 * real_form(stats.omega_b)
+    return signs[:, None] * cov * signs[None, :]
+
+
+def whole_s_mmse(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", seed=0):
+    """Exact posterior-mean channel estimate from one orthant reduction
+    over the whole sign-folded covariance S.
+
+    method only picks the label: "auto" says "mmse-closed" when no orthant
+    needed the numeric integrator and "mmse-general" otherwise; "general"
+    always says "mmse-general".
+    """
+    _check_obs(stats, obs)
+    if method not in ("auto", "general"):
+        raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
+    res = positive_orthant_mean(sign_covariance(stats, obs), rel_tol=rel_tol, seed=seed)
+    t = stats.omega_b.shape[0]
+    folded = obs.r_real * res.mean[:t] + 1j * obs.r_imag * res.mean[t:]
+    h_hat = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
+    closed = method == "auto" and res.method == "closed-form"
+    return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
+                    pr_r=float(res.prob))
 
 
 def numeric_orthant_probability(psi, seed, rel_tol=DEFAULT_REL_TOL,

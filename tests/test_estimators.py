@@ -14,7 +14,9 @@ import os
 import numpy as np
 import pytest
 
+import onebitmimo.estimators as estimators
 from onebitmimo import (
+    CapabilityError,
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
@@ -30,7 +32,6 @@ from onebitmimo import (
     quantize,
     sample_realizations,
     second_order_stats,
-    sign_covariance,
     simo3_closed_batch,
 )
 from onebitmimo.config import load_sweep_config
@@ -38,7 +39,7 @@ from onebitmimo.estimators import matches_simo3
 from onebitmimo.model import SystemDims
 from onebitmimo.simulate import build_covariance, build_point
 
-from numeric_oracle import numeric_mmse
+from numeric_oracle import numeric_mmse, sign_covariance, whole_s_mmse
 
 LINEAR_TOL = 1e-9
 
@@ -529,3 +530,38 @@ def test_method_argument_validated():
     obs = observation_from_signs(np.ones(1), np.ones(1))
     with pytest.raises(DomainError):
         mmse_estimate(stats, model, obs, method="bogus")
+
+
+def test_mmse_estimate_equals_the_whole_s_oracle():
+    # one row of the sign tables against one orthant reduction over the
+    # whole of S: closed blocks of sizes 1-3, and a numeric 4-block
+    scale = np.sqrt([2.0, 1.0, 0.5])
+    cases = [
+        scalar_setup(eta=5.0),
+        simo_setup(exponential_covariance(2, 0.8)),
+        simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]),
+        general_complex_setup(),
+    ]
+    for stats, model in cases:
+        for obs in all_sign_patterns(model.dims.obs_len):
+            for method in ("auto", "general"):
+                est = mmse_estimate(stats, model, obs, rel_tol=1e-3, method=method, seed=2)
+                oracle = whole_s_mmse(stats, model, obs, rel_tol=1e-3, method=method, seed=2)
+                assert np.array_equal(est.h_hat, oracle.h_hat)
+                assert est.pr_r == oracle.pr_r
+                assert est.estimator == oracle.estimator
+
+
+def test_block_beyond_the_integrator_fails_before_any_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved an orthant problem before the capability check")
+
+    monkeypatch.setattr(estimators, "positive_orthant_mean", solve)
+    # nine complex pilots on one antenna couple all 18 real coordinates of S
+    rng = np.random.default_rng(9)
+    pilots = rng.standard_normal((9, 1)) + 1j * rng.standard_normal((9, 1))
+    model = build_pilot_model(pilots, 1)
+    stats = second_order_stats(model, np.eye(1, dtype=complex), 1.0)
+    obs = observation_from_signs(np.ones(9), -np.ones(9))
+    with pytest.raises(CapabilityError, match="block of 18 coordinates > 16"):
+        mmse_estimate(stats, model, obs)

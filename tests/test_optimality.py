@@ -24,12 +24,13 @@ from onebitmimo import (
     mmse_estimate,
     observation_from_signs,
     second_order_stats,
-    sign_covariance,
 )
 from onebitmimo.config import load_sweep_config
 from onebitmimo.model import COUPLING_TOL, SystemDims
 from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import build_covariance
+
+from numeric_oracle import sign_covariance
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 

@@ -19,7 +19,6 @@ from onebitmimo import (
     observation_from_signs,
     orthant_probability,
     positive_orthant_mean,
-    sign_covariance,
     standardize,
 )
 from onebitmimo import orthant
@@ -40,6 +39,7 @@ from numeric_oracle import (
     orthant_probability_mc,
     positive_orthant_mean_mc,
     qmc_orthant_per_shift,
+    sign_covariance,
     truncated_mean_cf_2d,
 )
 

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "run_mse_sweep",
     "sample_realizations",
     "second_order_stats",
-    "sign_covariance",
     "simo3_closed_batch",
     "standardize",
 ]

@@ -21,7 +21,6 @@ from onebitmimo import (
     build_pilots,
     build_point,
     exponential_covariance,
-    mmse_estimate,
     observation_from_signs,
     render_csv,
     run_mse_sweep,
@@ -29,6 +28,8 @@ from onebitmimo import (
 from onebitmimo.model import real_form
 from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import NOISE_VAR
+
+from numeric_oracle import whole_s_mmse
 
 
 def scalar_config(**overrides):
@@ -386,25 +387,24 @@ def real_two_block_config(**overrides):
     return general_sweep_config(n_rx=4, phi=0.0, rho=0.7, **overrides)
 
 
-def _tables_and_reduction(cfg, snr_db, r_real, r_imag):
+def _assert_tables_equal_the_reduction(cfg, snr_db, r_real, r_imag):
     stats, model = build_point(cfg, snr_db)
-    evaluate = simulate._resolve_estimator("mmse", stats, model, cfg.rel_tol)
-    h_tables = evaluate(r_real, r_imag)
-    h_reduction = np.array([
-        mmse_estimate(stats, model, observation_from_signs(rr, ri), rel_tol=cfg.rel_tol).h_hat
-        for rr, ri in zip(r_real, r_imag)
-    ])
-    return evaluate, h_tables, h_reduction
+    evaluate, _ = estimators._sign_tables(stats, model, cfg.rel_tol)
+    h_tables, pr_tables = evaluate(r_real, r_imag)
+    oracle = [whole_s_mmse(stats, model, observation_from_signs(rr, ri), rel_tol=cfg.rel_tol)
+              for rr, ri in zip(r_real, r_imag)]
+    assert np.array_equal(h_tables, [est.h_hat for est in oracle])
+    assert np.array_equal(pr_tables, [est.pr_r for est in oracle])
+    h_flipped, pr_flipped = evaluate(-r_real, -r_imag)
+    assert np.array_equal(h_flipped, -h_tables)
+    assert np.array_equal(pr_flipped, pr_tables)
 
 
 def test_sign_tables_equal_the_reduction_on_every_pattern():
     cfg = general_sweep_config()
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-    rr, ri = signs[:, :2], signs[:, 2:]
     for snr_db in cfg.snr_grid_db:
-        evaluate, h_tables, h_reduction = _tables_and_reduction(cfg, snr_db, rr, ri)
-        assert np.array_equal(h_tables, h_reduction)
-        assert np.array_equal(evaluate(-rr, -ri), -h_tables)
+        _assert_tables_equal_the_reduction(cfg, snr_db, signs[:, :2], signs[:, 2:])
 
 
 def test_sign_tables_equal_the_reduction_on_two_numeric_blocks():
@@ -412,10 +412,7 @@ def test_sign_tables_equal_the_reduction_on_two_numeric_blocks():
     stats, _ = build_point(cfg, 10.0)
     assert [len(b) for b in _coupling_components(real_form(stats.omega_b))] == [4, 4]
     signs = np.where(np.random.default_rng(11).random((24, 8)) < 0.5, -1.0, 1.0)
-    rr, ri = signs[:, :4], signs[:, 4:]
-    evaluate, h_tables, h_reduction = _tables_and_reduction(cfg, 10.0, rr, ri)
-    assert np.array_equal(h_tables, h_reduction)
-    assert np.array_equal(evaluate(-rr, -ri), -h_tables)
+    _assert_tables_equal_the_reduction(cfg, 10.0, signs[:, :4], signs[:, 4:])
 
 
 def _count_solves(monkeypatch):
