@@ -256,10 +256,20 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     noise = (z[:, 2 * nh : 2 * nh + nn] + 1j * z[:, 2 * nh + nn :]) * np.sqrt(
         stats.noise_var / 2.0
     )
-    # numpy multiplies a single row by a matrix-vector kernel whose last bit
-    # can differ from the batched product, so a lone draw goes in as two rows
-    if n_samples == 1:
-        h_white = np.repeat(h_white, 2, axis=0)
-    h = h_white @ stats.sigma_factor.T
-    b = (h @ model.kron_matrix.T)[:n_samples] + noise
-    return h[:n_samples], noise, b
+    h = _rows_times(h_white, stats.sigma_factor)
+    return h, noise, observe(model, h, noise)
+
+
+def _rows_times(x, m):
+    """x @ m.T for a batch of rows x.  numpy multiplies a single row by a
+    matrix-vector kernel whose last bit can differ from the batched product,
+    so a lone row goes in as two equal rows and leaves as one."""
+    if len(x) == 1:
+        return (np.repeat(x, 2, axis=0) @ m.T)[:1]
+    return x @ m.T
+
+
+def observe(model, h, noise):
+    """Unquantized observations b = A h + n, one row per row of the channel
+    draws h and noise draws n; row i is the same for any batch holding it."""
+    return _rows_times(h, model.kron_matrix) + noise

@@ -8,6 +8,12 @@ is echoed in the result metadata.  Trial t draws its normals from words
 model.sample_realizations), and per-trial squared errors are reduced with
 compensated summation in trial order, so results are bit-identical for any
 batching of the work.
+
+Neither the channel draw h nor the noise draw n depends on the SNR, so all
+points of a sweep share each trial's h and n (common random numbers): each
+chunk of trials is drawn once, and only the observation b = A h + n is
+formed per point.  The squared errors of every point are held until the
+sweep ends, at 8 bytes per trial per (point, estimator).
 """
 
 import hashlib
@@ -31,6 +37,7 @@ from .model import (
     STREAM_CONTRACT,
     SystemDims,
     build_pilot_model,
+    observe,
     sample_realizations,
     second_order_stats,
 )
@@ -279,6 +286,9 @@ def run_mse_sweep(config):
     ordered by ascending SNR then estimator name.  Deterministic for a
     fixed config: trials sit at fixed positions of one counter-based
     stream, and squared errors are summed with compensation in trial order.
+    Every point reads the same h and n for a trial: each chunk is drawn
+    once and each point forms its own b = A h + n from the draw, so a
+    point's row equals that of a sweep over that point alone.
     """
     dims = config.dims
     trials = int(config.trials)
@@ -297,25 +307,30 @@ def run_mse_sweep(config):
             for name in config.estimators
         }
         points.append((snr_db, stats, model, evals))
-    for snr_db, stats, model, evals in points:
-        sq_errors = {name: [] for name in config.estimators}
-        done = 0
-        while done < trials:
-            n = min(_CHUNK, trials - done)
-            h, _, b = sample_realizations(
-                stats, model, config.seed, n, start_stream=done
-            )
+    # h and n read only the seed, the trial, sigma_ch and NOISE_VAR, which
+    # no point changes, so any point's stats can draw them.
+    _, draw_stats, draw_model, _ = points[0]
+    sq_errors = [{name: [] for name in config.estimators} for _ in points]
+    done = 0
+    while done < trials:
+        n = min(_CHUNK, trials - done)
+        h, noise, _ = sample_realizations(
+            draw_stats, draw_model, config.seed, n, start_stream=done
+        )
+        for (_, _, model, evals), point_errors in zip(points, sq_errors):
+            b = observe(model, h, noise)
             rr = sgn(b.real)
             ri = sgn(b.imag)
             for name, evaluate in evals.items():
                 diff = evaluate(rr, ri) - h
-                sq_errors[name].append(
+                point_errors[name].append(
                     np.einsum("ij,ij->i", diff.real, diff.real)
                     + np.einsum("ij,ij->i", diff.imag, diff.imag)
                 )
-            done += n
+        done += n
+    for (snr_db, _, _, _), point_errors in zip(points, sq_errors):
         for name in config.estimators:
-            v = np.concatenate(sq_errors[name]) / dims.channel_len
+            v = np.concatenate(point_errors[name]) / dims.channel_len
             # fsum iterates Python floats faster than np.float64 scalars
             mean = math.fsum(v.tolist()) / trials
             mean_sq = math.fsum((v * v).tolist()) / trials

@@ -1,8 +1,10 @@
 """Monte Carlo sweep harness: determinism, CSV output, and statistical
 agreement with the analytic scalar error."""
 
+import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,11 +27,14 @@ from onebitmimo import (
     render_csv,
     run_mse_sweep,
 )
+from onebitmimo.config import load_sweep_config
 from onebitmimo.model import real_form
 from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import NOISE_VAR
 
 from numeric_oracle import whole_s_mmse
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def scalar_config(**overrides):
@@ -448,3 +453,42 @@ def test_sign_tables_fill_order_leaves_rows_unchanged(monkeypatch):
     baseline = run_mse_sweep(cfg)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     assert run_mse_sweep(cfg).rows == baseline.rows
+
+
+def _lone_row_configs():
+    # 71 trials in chunks of 7 leave a last chunk of one trial
+    transmit = load_sweep_config(os.path.join(CONFIGS, "transmit_correlated.yaml"))
+    return [
+        scalar_config(trials=71, snr_grid_db=(-10.0, 0.0, 10.0, 20.0)),
+        general_sweep_config(trials=71),
+        dataclasses.replace(transmit, trials=71),
+    ]
+
+
+def test_each_point_of_a_sweep_equals_that_point_swept_alone(monkeypatch):
+    # the points share each trial's draw; a point's row must not depend on
+    # which other points the sweep holds
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    for cfg in _lone_row_configs():
+        rows = run_mse_sweep(cfg).rows
+        alone = [row for snr_db in sorted(cfg.snr_grid_db)
+                 for row in run_mse_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,))).rows]
+        assert len(rows) == len(cfg.snr_grid_db) * len(cfg.estimators)
+        assert rows == alone
+
+
+def test_sweep_draws_each_chunk_once_for_all_points(monkeypatch):
+    starts = []
+    sample = simulate.sample_realizations
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs["start_stream"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample_realizations", counted)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    for cfg in _lone_row_configs():
+        for grid in (cfg.snr_grid_db[:1], cfg.snr_grid_db):
+            starts.clear()
+            run_mse_sweep(dataclasses.replace(cfg, snr_grid_db=grid))
+            assert starts == list(range(0, 71, 7))
