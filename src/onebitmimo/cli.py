@@ -19,7 +19,7 @@ import yaml
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
 from .exceptions import DomainError
-from .model import sample_realizations
+from .model import observe, sample_realizations
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_MAX_SAMPLES,
@@ -71,8 +71,8 @@ def _cmd_estimate(args):
     if args.obs is not None:
         obs = _load_observation(args.obs)
     else:
-        h, _, b = sample_realizations(stats, model, cfg.seed, 1)
-        obs = quantize(b[0])
+        h, noise = sample_realizations(stats, model, cfg.seed, 1)
+        obs = quantize(observe(model, h, noise)[0])
         print(f"sampled observation (seed {cfg.seed}), true channel:")
         print(_fmt_vector(h[0]))
     print(f"snr_db: {snr_db:g}")

@@ -19,12 +19,17 @@ two (see :mod:`onebitmimo.optimality`); each such block is closed-form.
 
 The posterior mean has one evaluator, the per-block sign tables of
 ``_sign_tables``: ``mmse_estimate`` reads one row, a sweep point a chunk
-of trials.  They rest on two symmetries: the truncated mean factors over
-the coupled blocks of S, whose split is the same for every sign pattern,
-so each block's share of the estimate and factor of Pr(r) depend on its
-own signs only; and flipping every sign of a block leaves its covariance
-unchanged, so that share is odd and that factor even in those signs.  A
-block B thus needs at most 2^(|B|-1) solves.  Sweeps of real
+of trials.  They rest on three symmetries: the truncated mean factors
+over the coupled blocks of S, whose split is the same for every sign
+pattern, so each block's share of the estimate and factor of Pr(r) depend
+on its own signs only; flipping every sign of a block leaves its
+covariance unchanged, so that share is odd and that factor even in those
+signs; and b -> j b leaves the circular prior unchanged, so the rotation
+r -> j r, which maps each block onto a block, gives h_hat(j r) =
+j h_hat(r) and Pr(j r) = Pr(r).  A block B that the rotation maps onto
+itself (complex Omega) thus needs at most 2^(|B|-2) solves, and a pair
+of blocks mapped onto each other (the real-part and imaginary-part blocks
+of a real Omega) at most 2^(|B|-1) between them.  Sweeps of real
 three-antenna single-input points use ``simo3_closed_batch`` instead.
 """
 
@@ -220,16 +225,21 @@ def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", see
 
 def _sign_tables(stats, model, rel_tol, seed=0):
     """(evaluate, closed): the per-block sign tables of the posterior mean,
-    which rest on the two symmetries the module docstring names.
+    which rest on the three symmetries the module docstring names.
 
     evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
     (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
     block has at most three coordinates; a block beyond MAX_QMC_DIM raises
     CapabilityError here, before any solve.  Block j keeps 2^(|B|-1) rows,
-    indexed by its signs folded by the sign of its first coordinate, and
-    solves a row the first time an evaluation hits it: its share of h_hat,
-    its truncated mean lifted by sigma_ch A^H Omega^{-1}, next to P_B, at
-    seed + 1000 j, as positive_orthant_mean solves block j of S.
+    indexed by its signs folded by the sign of its first coordinate; a row
+    holds its share of h_hat, its truncated mean lifted by
+    sigma_ch A^H Omega^{-1}, next to P_B.  The rotation r -> j r pairs each
+    row with a row of the same or another block, never with itself.  The
+    first time an evaluation hits a row, the smaller (block, row) of its
+    pair is solved at seed + 1000 j of its block j, as positive_orthant_mean
+    solves block j of S, and the other row is filled with j times its share,
+    sign-folded, and the same P_B.  So the tables do not depend on the fill
+    order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
     cov = 0.5 * real_form(stats.omega_b)
@@ -242,18 +252,43 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         )
     # column j gives coordinate k of block j the bit weight 2^k
     weights = np.zeros((2 * t, len(blocks)), dtype=np.int64)
+    block_of = np.empty(2 * t, dtype=int)
     for j, comp in enumerate(blocks):
         weights[comp, j] = 1 << np.arange(len(comp))
+        block_of[comp] = j
     all_bits = weights.sum(axis=0)
     shares = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
               for comp in blocks]
     probs = [np.empty(len(share)) for share in shares]
     filled = [np.zeros(len(share), dtype=bool) for share in shares]
 
-    def solve(j, row):
+    def unfold(j, row):
+        # signs over all 2t coordinates: row `row` on block j, +1 elsewhere
         comp = blocks[j]
         signs = np.ones(2 * t)
         signs[comp[1:]] = 1.0 - 2.0 * ((row >> np.arange(len(comp) - 1)) & 1)
+        return signs
+
+    def fold(signs):
+        # per block of (..., 2t) signs: the row, folded by the first
+        # coordinate's sign, and that sign's bit
+        bits = (signs < 0) @ weights
+        first = bits & 1
+        return (bits ^ (first * all_bits)) >> 1, first
+
+    def rotate(j, row):
+        # r -> j r takes (Re, Im) signs to (-Im, Re): row `row` of block j
+        # lands on row `image` of block `jr`, whose share is f j times this one
+        signs = unfold(j, row)
+        rows, first = fold(np.concatenate([-signs[t:], signs[:t]]))
+        jr = int(block_of[(blocks[j][0] + t) % (2 * t)])
+        return jr, int(rows[jr]), 1.0 - 2.0 * first[jr]
+
+    def solve(j, row):
+        # solve the smaller (block, row) of the rotation pair, fill both
+        j, row = min((j, row), rotate(j, row)[:2])
+        comp = blocks[j]
+        signs = unfold(j, row)
         sub = signs[comp, None] * cov[np.ix_(comp, comp)] * signs[None, comp]
         res = positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
         mean = np.zeros(2 * t)
@@ -261,19 +296,20 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
         shares[j][row] = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
         probs[j][row] = res.prob
-        filled[j][row] = True
+        jr, image, f = rotate(j, row)
+        shares[jr][image] = f * 1j * shares[j][row]
+        probs[jr][image] = res.prob
+        filled[j][row] = filled[jr][image] = True
 
     def evaluate(r_real, r_imag):
-        bits = (np.concatenate([r_real, r_imag], axis=1) < 0) @ weights
-        first = bits & 1
-        # fold by the first coordinate's sign, then drop its bit
-        rows = (bits ^ (first * all_bits)) >> 1
+        rows, first = fold(np.concatenate([r_real, r_imag], axis=1))
         h_hat = np.zeros((r_real.shape[0], model.dims.channel_len), dtype=complex)
         pr = np.ones(r_real.shape[0])
         for j in range(len(blocks)):
             idx = rows[:, j]
             for row in np.unique(idx[~filled[j][idx]]):
-                solve(j, int(row))
+                if not filled[j][row]:
+                    solve(j, int(row))
             h_hat += (1.0 - 2.0 * first[:, j])[:, None] * shares[j][idx]
             pr *= probs[j][idx]
         return h_hat, pr

@@ -230,8 +230,9 @@ def _philox(seed, stream, word=0):
 def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     """Draw n_samples realizations from one counter-based stream per seed.
 
-    Returns (h, noise, b) arrays of shape (n_samples, channel_len) and
-    (n_samples, obs_len).  The stream is Philox4x64 keyed (seed, 0); trial
+    Returns (h, noise) arrays of shape (n_samples, channel_len) and
+    (n_samples, obs_len); observe(model, h, noise) forms b = A h + n from
+    them.  The stream is Philox4x64 keyed (seed, 0); trial
     t = start_stream + i owns its uint64 words [t*w, (t+1)*w), where
     w = 2 * (channel_len + obs_len), and each word becomes the standard
     normal ndtri(((word >> 12) + 0.5) * 2**-52).  Trial t is a function of
@@ -256,8 +257,7 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     noise = (z[:, 2 * nh : 2 * nh + nn] + 1j * z[:, 2 * nh + nn :]) * np.sqrt(
         stats.noise_var / 2.0
     )
-    h = _rows_times(h_white, stats.sigma_factor)
-    return h, noise, observe(model, h, noise)
+    return _rows_times(h_white, stats.sigma_factor), noise
 
 
 def _rows_times(x, m):

@@ -255,8 +255,10 @@ def _resolve_estimator(name, stats, model, rel_tol):
     blmmse_operator or mmse_linear_operator.  A non-linear real
     three-antenna single-input mmse point takes simo3_closed_batch; every
     other mmse point reads the per-block sign tables that mmse_estimate
-    reads one row of (estimators._sign_tables), at most 2^(|B|-1) solves
-    per coupled block B of S.
+    reads one row of (estimators._sign_tables).  Those rest on the odd
+    symmetry of each coupled block B of S and on the rotation r -> j r: at
+    most 2^(|B|-2) solves for a block the rotation maps onto itself, and
+    2^(|B|-1) for each pair of blocks it maps onto each other.
     """
     linear = blmmse_operator if name == "blmmse" else mmse_linear_operator
     w = linear(stats, model)
@@ -314,7 +316,7 @@ def run_mse_sweep(config):
     done = 0
     while done < trials:
         n = min(_CHUNK, trials - done)
-        h, noise, _ = sample_realizations(
+        h, noise = sample_realizations(
             draw_stats, draw_model, config.seed, n, start_stream=done
         )
         for (_, _, model, evals), point_errors in zip(points, sq_errors):

@@ -16,7 +16,9 @@ sum per shift, for bit-for-bit comparison with `_qmc_orthant`.
 and `whole_s_mmse` is the posterior mean as one `positive_orthant_mean`
 call over the whole of S, the route `mmse_estimate` took before it became
 one row of the per-block sign tables; it is the bit-for-bit oracle of
-those tables.
+those tables.  `solved_by_the_tables` tells, for a problem whose S is one
+coupled block, which sign patterns index a row the tables solve rather
+than derive by the rotation r -> j r.
 """
 
 import math
@@ -82,6 +84,21 @@ def whole_s_mmse(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", seed
     closed = method == "auto" and res.method == "closed-form"
     return Estimate(h_hat=h_hat, estimator="mmse-closed" if closed else "mmse-general",
                     pr_r=float(res.prob))
+
+
+def solved_by_the_tables(r_real, r_imag):
+    """Whether the sign tables solve the row of pattern r, for an S that is
+    one coupled block in coordinate order.
+
+    The row indexes the signs after the first coordinate, folded by the
+    first, as bits; the tables solve the smaller row of each pair r, j r,
+    where j r = (-r_imag, r_real).
+    """
+    def row(signs):
+        folded = signs[1:] * signs[0] < 0.0
+        return int(folded @ (1 << np.arange(len(folded))))
+
+    return row(np.concatenate([r_real, r_imag])) < row(np.concatenate([-r_imag, r_real]))
 
 
 def numeric_orthant_probability(psi, seed, rel_tol=DEFAULT_REL_TOL,

@@ -32,6 +32,7 @@ from onebitmimo import (
     second_order_stats,
     simo3_closed_batch,
 )
+from onebitmimo.model import observe
 
 from numeric_oracle import numeric_mmse, truncated_mean_cf_2d
 
@@ -188,7 +189,7 @@ def test_criterion_3_linear_case_equivalence():
         assert mmse_linear_operator(stats, model) is not None, name
         w_b = blmmse_operator(stats, model)
         w_closed = _closed_form_operator(name, model, stats.sigma_ch, stats.noise_var)
-        _, _, b = sample_realizations(stats, model, seed=9, n_samples=n_obs)
+        b = observe(model, *sample_realizations(stats, model, seed=9, n_samples=n_obs))
         r = np.where(b.real >= 0.0, 1.0, -1.0) + 1j * np.where(b.imag >= 0.0, 1.0, -1.0)
         gap = np.abs(r @ (w_closed - w_b).T).max()
         worst = max(worst, gap)

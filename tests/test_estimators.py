@@ -36,10 +36,11 @@ from onebitmimo import (
 )
 from onebitmimo.config import load_sweep_config
 from onebitmimo.estimators import matches_simo3
-from onebitmimo.model import SystemDims
+from onebitmimo.model import SystemDims, observe, real_form
+from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import build_covariance, build_point
 
-from numeric_oracle import numeric_mmse, sign_covariance, whole_s_mmse
+from numeric_oracle import numeric_mmse, sign_covariance, solved_by_the_tables, whole_s_mmse
 
 LINEAR_TOL = 1e-9
 
@@ -58,7 +59,7 @@ def all_sign_patterns(length):
 
 
 def sample_observations(stats, model, seed, count):
-    _, _, b = sample_realizations(stats, model, seed, count)
+    b = observe(model, *sample_realizations(stats, model, seed, count))
     return [quantize(row) for row in b]
 
 
@@ -459,6 +460,19 @@ def test_rotation_invariance_numeric_config():
         assert b.pr_r == pytest.approx(a.pr_r, rel=10.0 * rel_tol)
 
 
+def test_rotation_invariance_is_exact_on_numeric_blocks():
+    # the tables solve one row of each pair r, j r and derive the other, so
+    # the invariant holds bit for bit on a numeric 4-block too
+    stats, model = general_complex_setup()
+    assert [list(b) for b in _coupling_components(real_form(stats.omega_b))] == [[0, 1, 2, 3]]
+    for obs in all_sign_patterns(2):
+        a = mmse_estimate(stats, model, obs, rel_tol=1e-3, seed=2)
+        b = mmse_estimate(stats, model, rotated(obs), rel_tol=1e-3, seed=2)
+        assert b.estimator == a.estimator == "mmse-general"
+        assert np.array_equal(b.h_hat, 1j * a.h_hat)
+        assert b.pr_r == a.pr_r
+
+
 def test_scalar_pattern_probability_is_quarter():
     stats, model = scalar_setup()
     for obs in all_sign_patterns(1):
@@ -514,7 +528,7 @@ def test_completeness_numeric_config():
 def test_pattern_probabilities_match_sampling():
     stats, model = general_complex_setup()
     n = 200_000
-    _, _, b = sample_realizations(stats, model, seed=21, n_samples=n)
+    b = observe(model, *sample_realizations(stats, model, seed=21, n_samples=n))
     rr = np.where(b.real >= 0.0, 1.0, -1.0)
     ri = np.where(b.imag >= 0.0, 1.0, -1.0)
     for obs in list(all_sign_patterns(2))[:6]:
@@ -534,16 +548,21 @@ def test_method_argument_validated():
 
 def test_mmse_estimate_equals_the_whole_s_oracle():
     # one row of the sign tables against one orthant reduction over the
-    # whole of S: closed blocks of sizes 1-3, and a numeric 4-block
+    # whole of S: closed blocks of sizes 1-3 on every pattern, and a numeric
+    # 4-block on the 8 of 16 patterns whose row the tables solve; the others
+    # are rotations of those (test_rotation_invariance_is_exact_on_numeric_blocks)
     scale = np.sqrt([2.0, 1.0, 0.5])
     cases = [
-        scalar_setup(eta=5.0),
-        simo_setup(exponential_covariance(2, 0.8)),
-        simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]),
-        general_complex_setup(),
+        (scalar_setup(eta=5.0), False),
+        (simo_setup(exponential_covariance(2, 0.8)), False),
+        (simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]), False),
+        (general_complex_setup(), True),
     ]
-    for stats, model in cases:
-        for obs in all_sign_patterns(model.dims.obs_len):
+    for (stats, model), numeric in cases:
+        patterns = [obs for obs in all_sign_patterns(model.dims.obs_len)
+                    if not numeric or solved_by_the_tables(obs.r_real, obs.r_imag)]
+        assert len(patterns) == (8 if numeric else 4 ** model.dims.obs_len)
+        for obs in patterns:
             for method in ("auto", "general"):
                 est = mmse_estimate(stats, model, obs, rel_tol=1e-3, method=method, seed=2)
                 oracle = whole_s_mmse(stats, model, obs, rel_tol=1e-3, method=method, seed=2)

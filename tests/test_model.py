@@ -14,7 +14,7 @@ from onebitmimo import (
     build_pilots,
     second_order_stats,
 )
-from onebitmimo.model import _philox, hermitian_inverse
+from onebitmimo.model import _philox, hermitian_inverse, observe
 from onebitmimo.simulate import NOISE_VAR
 
 
@@ -142,7 +142,8 @@ def test_sampling_moments():
     nv = 0.8
     stats = second_order_stats(model, sigma, nv)
     n = 200_000
-    h, noise, b = sample_realizations(stats, model, seed=10, n_samples=n)
+    h, noise = sample_realizations(stats, model, seed=10, n_samples=n)
+    b = observe(model, h, noise)
     tol = 5.0 * np.sqrt(2.0 / n) * max(np.abs(sigma).max(), nv, 1.0)
     cov_h = h.T.conj() @ h / n
     assert np.abs(cov_h.T - sigma).max() < tol
@@ -159,14 +160,17 @@ def test_sampling_is_chunk_invariant():
     sigma = random_hermitian_pd(2, rng)
     model = build_pilot_model(random_pilots(2, 1, rng), 2)
     stats = second_order_stats(model, sigma, 1.0)
-    h_all, n_all, b_all = sample_realizations(stats, model, seed=3, n_samples=40)
-    h_a, n_a, b_a = sample_realizations(stats, model, seed=3, n_samples=25)
-    h_b, n_b, b_b = sample_realizations(
+    h_all, n_all = sample_realizations(stats, model, seed=3, n_samples=40)
+    h_a, n_a = sample_realizations(stats, model, seed=3, n_samples=25)
+    h_b, n_b = sample_realizations(
         stats, model, seed=3, n_samples=15, start_stream=25
     )
     np.testing.assert_array_equal(np.vstack([h_a, h_b]), h_all)
     np.testing.assert_array_equal(np.vstack([n_a, n_b]), n_all)
-    np.testing.assert_array_equal(np.vstack([b_a, b_b]), b_all)
+    np.testing.assert_array_equal(
+        np.vstack([observe(model, h_a, n_a), observe(model, h_b, n_b)]),
+        observe(model, h_all, n_all),
+    )
 
 
 def word_normals(raw):
@@ -208,7 +212,7 @@ def test_sampling_rows_are_stream_words():
     fresh = np.random.Philox(key=np.array([11, 0], dtype=np.uint64)).random_raw(10 * w)
     np.testing.assert_array_equal(stream_normals(11, 7 * w, 3 * w), word_normals(fresh[7 * w :]))
     for seed, start in ((0, 0), (11, 7), (2**63 + 5, 3), (2**64 - 1, 2**64 - 4)):
-        h, noise, _ = sample_realizations(stats, model, seed, 3, start_stream=start)
+        h, noise = sample_realizations(stats, model, seed, 3, start_stream=start)
         for t in range(3):
             z = stream_normals(seed, (start + t) * w, w)
             np.testing.assert_array_equal(h[t], (z[:nh] + 1j * z[nh : 2 * nh]) / np.sqrt(2.0))
@@ -219,12 +223,13 @@ def test_sampling_is_chunk_invariant_inside_a_block():
     # width 6 puts trials 1, 2, 3 at words 6, 12, 18: mid-block, aligned, mid-block
     model = build_pilot_model(np.array([[1.0], [1j]]), 1)
     stats = second_order_stats(model, np.eye(1, dtype=complex), 0.5)
-    h_all, n_all, b_all = sample_realizations(stats, model, seed=4, n_samples=12)
+    h_all, n_all = sample_realizations(stats, model, seed=4, n_samples=12)
+    b_all = observe(model, h_all, n_all)
     for start in (1, 2, 3, 5, 6, 7):
-        h, n, b = sample_realizations(stats, model, seed=4, n_samples=5, start_stream=start)
+        h, n = sample_realizations(stats, model, seed=4, n_samples=5, start_stream=start)
         np.testing.assert_array_equal(h, h_all[start : start + 5])
         np.testing.assert_array_equal(n, n_all[start : start + 5])
-        np.testing.assert_array_equal(b, b_all[start : start + 5])
+        np.testing.assert_array_equal(observe(model, h, n), b_all[start : start + 5])
 
 
 def test_sampling_one_row_equals_its_batch_row():
@@ -234,8 +239,10 @@ def test_sampling_one_row_equals_its_batch_row():
     for _ in range(200):
         stats = second_order_stats(model, random_hermitian_pd(2, rng), 0.5)
         batch = sample_realizations(stats, model, seed=9, n_samples=8)
+        batch = (*batch, observe(model, *batch))
         for t in (0, 5):
             alone = sample_realizations(stats, model, seed=9, n_samples=1, start_stream=t)
+            alone = (*alone, observe(model, *alone))
             for x, y in zip(alone, batch):
                 assert x.shape == (1, y.shape[1])
                 np.testing.assert_array_equal(x[0], y[t])

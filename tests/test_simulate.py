@@ -32,7 +32,7 @@ from onebitmimo.model import real_form
 from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import NOISE_VAR
 
-from numeric_oracle import whole_s_mmse
+from numeric_oracle import solved_by_the_tables, whole_s_mmse
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -392,32 +392,68 @@ def real_two_block_config(**overrides):
     return general_sweep_config(n_rx=4, phi=0.0, rho=0.7, **overrides)
 
 
-def _assert_tables_equal_the_reduction(cfg, snr_db, r_real, r_imag):
+def _tables_and_oracle(cfg, snr_db):
+    """The sign tables' evaluate of one sweep point, and its whole-S oracle
+    mapping sign arrays to (h_hat, pr) the same way."""
     stats, model = build_point(cfg, snr_db)
     evaluate, _ = estimators._sign_tables(stats, model, cfg.rel_tol)
-    h_tables, pr_tables = evaluate(r_real, r_imag)
-    oracle = [whole_s_mmse(stats, model, observation_from_signs(rr, ri), rel_tol=cfg.rel_tol)
-              for rr, ri in zip(r_real, r_imag)]
-    assert np.array_equal(h_tables, [est.h_hat for est in oracle])
-    assert np.array_equal(pr_tables, [est.pr_r for est in oracle])
-    h_flipped, pr_flipped = evaluate(-r_real, -r_imag)
-    assert np.array_equal(h_flipped, -h_tables)
-    assert np.array_equal(pr_flipped, pr_tables)
+
+    def oracle(r_real, r_imag):
+        ests = [whole_s_mmse(stats, model, observation_from_signs(rr, ri), rel_tol=cfg.rel_tol)
+                for rr, ri in zip(r_real, r_imag)]
+        return np.array([est.h_hat for est in ests]), np.array([est.pr_r for est in ests])
+
+    return evaluate, oracle
+
+
+def _assert_flip_and_rotation_exact(evaluate, r_real, r_imag):
+    # h_hat(-r) = -h_hat(r), h_hat(j r) = j h_hat(r) and equal Pr, bit for bit
+    h_hat, pr = evaluate(r_real, r_imag)
+    for image, factor in (((-r_real, -r_imag), -1.0), ((-r_imag, r_real), 1j)):
+        h_image, pr_image = evaluate(*image)
+        assert np.array_equal(h_image, factor * h_hat)
+        assert np.array_equal(pr_image, pr)
 
 
 def test_sign_tables_equal_the_reduction_on_every_pattern():
+    # one 4-block that r -> j r maps onto itself: the rows the tables solve,
+    # one per rotation pair, equal the reduction; the others are rotations
     cfg = general_sweep_config()
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    r_real, r_imag = signs[:, :2], signs[:, 2:]
+    solved = np.array([solved_by_the_tables(rr, ri) for rr, ri in zip(r_real, r_imag)])
+    assert solved.sum() == 8
     for snr_db in cfg.snr_grid_db:
-        _assert_tables_equal_the_reduction(cfg, snr_db, signs[:, :2], signs[:, 2:])
+        stats, _ = build_point(cfg, snr_db)
+        assert [list(b) for b in _coupling_components(real_form(stats.omega_b))] == [[0, 1, 2, 3]]
+        evaluate, oracle = _tables_and_oracle(cfg, snr_db)
+        h_hat, pr = evaluate(r_real, r_imag)
+        h_oracle, pr_oracle = oracle(r_real[solved], r_imag[solved])
+        assert np.array_equal(h_hat[solved], h_oracle)
+        assert np.array_equal(pr[solved], pr_oracle)
+        _assert_flip_and_rotation_exact(evaluate, r_real, r_imag)
 
 
 def test_sign_tables_equal_the_reduction_on_two_numeric_blocks():
+    # a real Omega: r -> j r maps the real-part block onto the imaginary-part
+    # block, so the tables solve the real-part rows and turn them by j
     cfg = real_two_block_config()
     stats, _ = build_point(cfg, 10.0)
     assert [len(b) for b in _coupling_components(real_form(stats.omega_b))] == [4, 4]
     signs = np.where(np.random.default_rng(11).random((24, 8)) < 0.5, -1.0, 1.0)
-    _assert_tables_equal_the_reduction(cfg, 10.0, signs[:, :4], signs[:, 4:])
+    r_real, r_imag = signs[:, :4], signs[:, 4:]
+    evaluate, oracle = _tables_and_oracle(cfg, 10.0)
+    h_hat, _ = evaluate(r_real, r_imag)
+    assert np.array_equal(h_hat.real, oracle(r_real, r_imag)[0].real)
+    assert np.array_equal(h_hat.imag, oracle(r_imag, r_imag)[0].real)
+    _assert_flip_and_rotation_exact(evaluate, r_real, r_imag)
+
+
+def test_sign_tables_rotation_invariance_is_exact_on_two_blocks():
+    cfg = real_two_block_config()
+    evaluate, _ = estimators._sign_tables(*build_point(cfg, 10.0), cfg.rel_tol)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=8)))
+    _assert_flip_and_rotation_exact(evaluate, signs[:, :4], signs[:, 4:])
 
 
 def _count_solves(monkeypatch):
@@ -435,17 +471,19 @@ def _count_solves(monkeypatch):
 def test_sign_tables_solve_each_block_pattern_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     # 2000 trials hit all 16 patterns, which fold onto the 8 rows of the
-    # block, however the trials are chunked
+    # block; r -> j r pairs those rows, and one row of each pair is solved,
+    # however the trials are chunked
     for chunk in (simulate._CHUNK, 7):
         calls.clear()
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         run_mse_sweep(general_sweep_config(snr_grid_db=(10.0,)))
-        assert len(calls) == 8
+        assert len(calls) == 4
+    # a real Omega: only the real-part block's 8 rows are solved
     for trials in (20, 3_000):
         calls.clear()
         run_mse_sweep(real_two_block_config(snr_grid_db=(10.0,), estimators=("mmse",),
                                             trials=trials))
-        assert 0 < len(calls) <= 2 * 8
+        assert 0 < len(calls) <= 8
 
 
 def test_sign_tables_fill_order_leaves_rows_unchanged(monkeypatch):
