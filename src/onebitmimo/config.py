@@ -60,23 +60,17 @@ def sweep_config_from_dict(raw):
     covariance = _require(raw, "covariance", dict, "mapping")
     pilots = _require(raw, "pilots", dict, "mapping")
     grid = _require(raw, "snr_grid_db", (list, tuple), "list")
-    if any(isinstance(x, bool) for x in grid):
-        raise DomainError("snr_grid_db entries must be numbers, not booleans")
-    try:
-        grid = tuple(float(x) for x in grid)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("snr_grid_db entries must be numbers") from exc
     estimators = _require(raw, "estimators", (list, tuple), "list")
     estimators = tuple(str(x) for x in estimators)
     trials = _require(raw, "trials", int, "integer")
     seed = _require(raw, "seed", int, "integer")
     # an absent rel_tol takes SweepConfig's default
-    optional = {"rel_tol": float(raw["rel_tol"])} if "rel_tol" in raw else {}
+    optional = {"rel_tol": raw["rel_tol"]} if "rel_tol" in raw else {}
     return SweepConfig(
         dims=dims,
         covariance=dict(covariance),
         pilots=dict(pilots),
-        snr_grid_db=grid,
+        snr_grid_db=tuple(grid),
         estimators=estimators,
         trials=trials,
         seed=seed,
@@ -92,9 +86,7 @@ def point_snr_db(raw, config):
     """SNR used by the single-point commands: snr_db if present, else the
     first grid entry."""
     if "snr_db" in raw:
-        if isinstance(raw["snr_db"], bool):
-            raise DomainError("snr_db must be a number, not a boolean")
-        snr_db = float(raw["snr_db"])
+        snr_db = float(_require(raw, "snr_db", (int, float), "number"))
         snr_from_db(snr_db)
         return snr_db
     return float(config.snr_grid_db[0])

@@ -29,8 +29,10 @@ r -> j r, which maps each block onto a block, gives h_hat(j r) =
 j h_hat(r) and Pr(j r) = Pr(r).  A block B that the rotation maps onto
 itself (complex Omega) thus needs at most 2^(|B|-2) solves, and a pair
 of blocks mapped onto each other (the real-part and imaginary-part blocks
-of a real Omega) at most 2^(|B|-1) between them.  Sweeps of real
-three-antenna single-input points use ``simo3_closed_batch`` instead.
+of a real Omega) at most 2^(|B|-1) between them.  The rows of a block
+of at most three coordinates are all filled in closed form when the
+tables are built; larger blocks are solved row by row as evaluations
+first need them.
 """
 
 import math
@@ -38,19 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    CapabilityError,
-    DimensionError,
-    DomainError,
-    NotPositiveDefiniteError,
-)
-from .model import check_hermitian, hermitian_inverse, real_form
+from .exceptions import CapabilityError, DimensionError, DomainError
+from .model import build_pilot_model, hermitian_inverse, real_form, second_order_stats
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_REL_TOL,
     MAX_QMC_DIM,
+    _closed_mean,
     _coupling_components,
-    arcsin_clamped,
     positive_orthant_mean,
 )
 from .quantizer import arcsine_matrix
@@ -110,17 +107,6 @@ def mmse_linear_operator(stats, model):
     return None
 
 
-def _is_real(sigma_ch):
-    return np.abs(sigma_ch.imag).max() <= STRUCT_TOL * max(np.abs(sigma_ch).max(), 1.0)
-
-
-def matches_simo3(stats, model):
-    """True when the three-antenna closed form applies: one pilot, three
-    receive antennas and a real channel covariance."""
-    dims = model.dims
-    return (dims.n_tx, dims.n_rx, dims.n_pilots) == (1, 3, 1) and _is_real(stats.sigma_ch)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -139,66 +125,23 @@ def tx_covariance(sigma_ch, dims):
 
 def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     """Exact MMSE estimates for one pilot, three receive antennas and a real
-    channel covariance.
-
-    Antenna k observes variance d_k = |s|^2 sigma_kk + noise_var, so the
-    real and imaginary sign triples see correlations
-    beta_ij = |s|^2 sigma_ij / sqrt(d_i d_j), and coordinate k of their
-    truncated means carries the factor conj(s) / (2 sqrt(pi d_k)).
+    channel covariance, read from the sign tables of that point (see
+    _sign_tables), whose two 3-coordinate blocks are closed-form.
 
     r_real and r_imag have shape (..., 3); returns estimates of shape
     (..., 3) and the sign-pattern probabilities of shape (...,).
     """
     sigma = np.asarray(sigma_ch)
-    if sigma.shape != (3, 3):
-        raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
-    if not _is_real(sigma):
+    if np.abs(sigma.imag).max() > STRUCT_TOL * max(np.abs(sigma).max(), 1.0):
         raise DomainError("sigma_ch must be real")
-    sigma = check_hermitian(sigma.real.astype(float), "sigma_ch")
     r_real, r_imag = np.asarray(r_real, dtype=float), np.asarray(r_imag, dtype=float)
     if r_real.shape[-1:] != (3,) or r_imag.shape != r_real.shape:
         raise DimensionError(f"sign arrays must be (..., 3), got {r_real.shape}, {r_imag.shape}")
-    s = complex(pilot)
-    noise_var = float(noise_var)
-    var = abs(s) ** 2 * sigma.diagonal() + noise_var
-    if var.min() <= 0.0:
-        raise DomainError("every observation variance |s|^2 sigma_kk + noise_var must be positive")
-    beta = (abs(s) ** 2 / np.sqrt(np.outer(var, var))) * sigma
-    b12, b13, b23 = beta[0, 1], beta[0, 2], beta[1, 2]
-    for name, b in (("beta12", b12), ("beta13", b13), ("beta23", b23)):
-        if abs(b) >= 1.0 - 1e-14:
-            raise DomainError(f"{name} = {b!r} on the boundary of (-1, 1)")
-    root = np.sqrt([1.0 - b12**2, 1.0 - b13**2, 1.0 - b23**2])
-    partial = np.array(
-        [
-            (b23 - b12 * b13) / (root[0] * root[1]),
-            (b13 - b12 * b23) / (root[0] * root[2]),
-            (b12 - b13 * b23) / (root[1] * root[2]),
-        ]
-    )
-    a_partial = arcsin_clamped(partial)
-    a12, a13, a23 = arcsin_clamped(b12), arcsin_clamped(b13), arcsin_clamped(b23)
-
-    def moments(signs):
-        triple = signs.prod(axis=-1)
-        v = signs / 4.0 + triple[..., None] * a_partial / (2.0 * np.pi)
-        p = 0.125 + (
-            signs[..., 0] * signs[..., 1] * a12
-            + signs[..., 0] * signs[..., 2] * a13
-            + signs[..., 1] * signs[..., 2] * a23
-        ) / (4.0 * np.pi)
-        if np.any(p <= 0.0):
-            raise NotPositiveDefiniteError(
-                "sign-pattern probability came out non-positive; "
-                "sigma_ch is not a valid covariance"
-            )
-        return v, p
-
-    v_r, p_r = moments(r_real)
-    v_i, p_i = moments(r_imag)
-    front = np.conj(s) / (2.0 * np.sqrt(np.pi * var))
-    h_hat = front * (v_r / p_r[..., None] + 1j * v_i / p_i[..., None]) @ sigma
-    return h_hat, p_r * p_i
+    model = build_pilot_model([[pilot]], 3)
+    evaluate, _ = _sign_tables(second_order_stats(model, sigma.real, noise_var), model,
+                               DEFAULT_REL_TOL)
+    h_hat, pr = evaluate(r_real.reshape(-1, 3), r_imag.reshape(-1, 3))
+    return h_hat.reshape(r_real.shape), pr.reshape(r_real.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +178,13 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     holds its share of h_hat, its truncated mean lifted by
     sigma_ch A^H Omega^{-1}, next to P_B.  The rotation r -> j r pairs each
     row with a row of the same or another block, never with itself.  The
-    first time an evaluation hits a row, the smaller (block, row) of its
-    pair is solved at seed + 1000 j of its block j, as positive_orthant_mean
-    solves block j of S, and the other row is filled with j times its share,
-    sign-folded, and the same P_B.  So the tables do not depend on the fill
-    order, and h_hat(j r) = j h_hat(r) holds bit for bit.
+    smaller (block, row) of each pair is solved as positive_orthant_mean
+    solves block j of S: on a block of at most three coordinates here, all
+    such rows of the block in one _closed_mean call; on a larger block the
+    first time an evaluation hits either row of the pair, at seed + 1000 j.
+    The other row is filled with j times its share, sign-folded, and the
+    same P_B.  So the tables do not depend on the fill order, and
+    h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
     cov = 0.5 * real_form(stats.omega_b)
@@ -263,10 +208,12 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     filled = [np.zeros(len(share), dtype=bool) for share in shares]
 
     def unfold(j, row):
-        # signs over all 2t coordinates: row `row` on block j, +1 elsewhere
+        # signs over all 2t coordinates: row `row` (or each of an array of
+        # rows) on block j, +1 elsewhere
         comp = blocks[j]
-        signs = np.ones(2 * t)
-        signs[comp[1:]] = 1.0 - 2.0 * ((row >> np.arange(len(comp) - 1)) & 1)
+        row = np.asarray(row)
+        signs = np.ones(row.shape + (2 * t,))
+        signs[..., comp[1:]] = 1.0 - 2.0 * ((row[..., None] >> np.arange(len(comp) - 1)) & 1)
         return signs
 
     def fold(signs):
@@ -276,30 +223,53 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         first = bits & 1
         return (bits ^ (first * all_bits)) >> 1, first
 
-    def rotate(j, row):
-        # r -> j r takes (Re, Im) signs to (-Im, Re): row `row` of block j
-        # lands on row `image` of block `jr`, whose share is f j times this one
+    # r -> j r takes (Re, Im) signs to (-Im, Re): row `row` of block j lands
+    # on row image[j][row] of block partner[j], whose share is flip[j][row]
+    # j times this one
+    partner = [int(block_of[(comp[0] + t) % (2 * t)]) for comp in blocks]
+    image, flip = [], []
+    for j, share in enumerate(shares):
+        signs = unfold(j, np.arange(len(share)))
+        rows, first = fold(np.concatenate([-signs[:, t:], signs[:, :t]], axis=1))
+        image.append(rows[:, partner[j]])
+        flip.append(1.0 - 2.0 * first[:, partner[j]])
+
+    def sign_folded(j, row):
+        # row `row` (or each of an array of rows) of block j as signs, and
+        # the block's covariance folded by them
+        comp = blocks[j]
         signs = unfold(j, row)
-        rows, first = fold(np.concatenate([-signs[t:], signs[:t]]))
-        jr = int(block_of[(blocks[j][0] + t) % (2 * t)])
-        return jr, int(rows[jr]), 1.0 - 2.0 * first[jr]
+        return signs, signs[..., comp, None] * cov[np.ix_(comp, comp)] * signs[..., None, comp]
+
+    def fill(j, row, signs, block_mean, prob):
+        # lift a solved row's truncated mean to its share; derive its pair's row
+        mean = np.zeros(2 * t)
+        mean[blocks[j]] = block_mean
+        folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
+        shares[j][row] = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
+        probs[j][row] = prob
+        jr, jr_row = partner[j], image[j][row]
+        shares[jr][jr_row] = flip[j][row] * 1j * shares[j][row]
+        probs[jr][jr_row] = prob
+        filled[j][row] = filled[jr][jr_row] = True
 
     def solve(j, row):
         # solve the smaller (block, row) of the rotation pair, fill both
-        j, row = min((j, row), rotate(j, row)[:2])
-        comp = blocks[j]
-        signs = unfold(j, row)
-        sub = signs[comp, None] * cov[np.ix_(comp, comp)] * signs[None, comp]
+        j, row = min((j, row), (partner[j], int(image[j][row])))
+        signs, sub = sign_folded(j, row)
         res = positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
-        mean = np.zeros(2 * t)
-        mean[comp] = res.mean
-        folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
-        shares[j][row] = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
-        probs[j][row] = res.prob
-        jr, image, f = rotate(j, row)
-        shares[jr][image] = f * 1j * shares[j][row]
-        probs[jr][image] = res.prob
-        filled[j][row] = filled[jr][image] = True
+        fill(j, row, signs, res.mean, res.prob)
+
+    # every row of a closed block now: the smaller (block, row) of each
+    # rotation pair, in one _closed_mean call per block
+    for j, comp in enumerate(blocks):
+        rows = np.arange(len(shares[j]))
+        rows = rows[(j < partner[j]) | ((j == partner[j]) & (rows < image[j]))]
+        if len(comp) <= 3 and len(rows):
+            signs, subs = sign_folded(j, rows)
+            means, block_probs = _closed_mean(subs)
+            for row, row_signs, block_mean, prob in zip(rows, signs, means, block_probs):
+                fill(j, row, row_signs, block_mean, prob)
 
     def evaluate(r_real, r_imag):
         rows, first = fold(np.concatenate([r_real, r_imag], axis=1))

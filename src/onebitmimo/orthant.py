@@ -16,7 +16,9 @@ an error estimate alongside the value.  Each round is one vectorised
 integrand pass over all of its shifts, with the points per call bounded.
 The truncated mean is reduced to a vector of one-dimension-lower orthant
 probabilities of conditional covariances (Tallis 1961), so it inherits
-whichever path those take.
+whichever path those take.  On a block of at most three coordinates that
+whole reduction is one closed form, which runs on a stack of blocks at
+once and gives each block the bits it would get alone.
 """
 
 import math
@@ -88,20 +90,36 @@ def standardize(psi):
     scale = np.sqrt(psi.diagonal())
     corr = psi / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
-    return (corr + corr.T) / 2.0
+    return corr
 
 
 def _closed_orthant(corr):
-    """Exact orthant probability of a standardized covariance, L <= 3."""
-    n = corr.shape[0]
-    if n == 1:
-        return 0.5
-    if n == 2:
-        return 0.25 + arcsin_clamped(corr[0, 1]) / (2.0 * np.pi)
-    if n == 3:
-        s = arcsin_clamped(corr[0, 1]) + arcsin_clamped(corr[0, 2]) + arcsin_clamped(corr[1, 2])
-        return 0.125 + s / (4.0 * np.pi)
-    raise DimensionError(f"no closed form for dimension {n}")
+    """Exact orthant probabilities of a (..., L, L) stack of standardized
+    covariances, L <= 3: 2^-L plus the sum of the arcsines of the
+    correlations over 2^(L-1) pi, so L = 0 gives 1 and L = 1 gives 1/2.
+    Only the correlations above the diagonal are read."""
+    n = corr.shape[-1]
+    if n > 3:
+        raise DimensionError(f"no closed form for dimension {n}")
+    # the pairs (0, 1), (0, 2), (1, 2) above the diagonal, in that order
+    pairs = n * (n - 1) // 2
+    s = arcsin_clamped(corr[..., [0, 0, 1][:pairs], [1, 2, 2][:pairs]]).sum(-1)
+    return 0.5**n + s / (2.0 ** (n - 1) * np.pi)
+
+
+def _closed_mean(psi):
+    """(E[u | u > 0], P(u > 0)) of u ~ N(0, psi) for each matrix of a
+    (..., L, L) stack of covariances, L <= 3: Tallis (1961) on the arcsine
+    closed forms.  Every step is elementwise or a sum over the last axis,
+    so each matrix gets the same bits in a stack as alone."""
+    def orthant(m):
+        scale = np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
+        return _closed_orthant(m / (scale[..., :, None] * scale[..., None, :]))
+
+    w = orthant(_conditional_covariances(psi))
+    w /= np.sqrt(2.0 * np.pi * np.diagonal(psi, axis1=-2, axis2=-1))
+    prob = orthant(psi)
+    return (psi * w[..., None, :]).sum(-1) / prob[..., None], prob
 
 
 def _coupling_graph(m):
@@ -326,22 +344,27 @@ class TruncatedMeanResult:
     method: str
 
 
-def _conditional_covariance(psi, k):
-    """Covariance of the other coordinates of u ~ N(0, psi) given u_k = 0."""
-    idx = np.delete(np.arange(psi.shape[0]), k)
-    f = psi[idx, k]
-    return psi[np.ix_(idx, idx)] - np.outer(f, f) / psi[k, k]
+def _conditional_covariances(psi):
+    """cond[..., k, :, :], the covariance of the other coordinates of
+    u ~ N(0, psi) given u_k = 0, for each k and each matrix of a (..., L, L)
+    stack; elementwise, so a matrix gets the same bits in a stack as alone."""
+    n = psi.shape[-1]
+    others = np.array([[i for i in range(n) if i != k] for k in range(n)], dtype=int)
+    f = psi[..., others, np.arange(n)[:, None]]
+    diag = np.diagonal(psi, axis1=-2, axis2=-1)
+    return (psi[..., others[:, :, None], others[:, None, :]]
+            - f[..., :, :, None] * f[..., :, None, :] / diag[..., :, None, None])
 
 
 def _mean_single_block(psi, rel_tol, max_samples, seed):
     """(E[u | u > 0], P(u > 0)) of one coupled block by Tallis (1961)."""
     n = psi.shape[0]
-    if n == 1:
-        return np.array([math.sqrt(2.0 * psi[0, 0] / np.pi)]), 0.5
+    if n <= 3:
+        return _closed_mean(psi)
     kwargs = dict(rel_tol=rel_tol, max_samples=max_samples)
     prob = orthant_probability(psi, seed=seed, **kwargs)
-    g = [orthant_probability(_conditional_covariance(psi, k), seed=seed + k + 1, **kwargs)
-         for k in range(n)]
+    g = [orthant_probability(cond, seed=seed + k + 1, **kwargs)
+         for k, cond in enumerate(_conditional_covariances(psi))]
     return psi @ (g / np.sqrt(2.0 * np.pi * psi.diagonal())) / prob, prob
 
 

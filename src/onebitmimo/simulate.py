@@ -18,6 +18,7 @@ sweep ends, at 8 bytes per trial per (point, estimator).
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,9 @@ from .channel_models import bessel_tx_covariance, exponential_covariance
 from .estimators import (
     _sign_tables,
     blmmse_operator,
-    matches_simo3,
     mmse_estimate,  # not called here: perfbench/tracing.py wraps simulate.mmse_estimate
     mmse_linear_operator,
-    simo3_closed_batch,
+    simo3_closed_batch,  # not called here: perfbench/tracing.py wraps simulate.simo3_closed_batch
     tx_covariance,
 )
 from .exceptions import DimensionError, DomainError
@@ -78,6 +78,15 @@ def snr_from_db(snr_db):
     return snr
 
 
+def _check_number(value, message, integral=False):
+    """DomainError(message) unless value is a real number (an integer if
+    integral); a bool or a numeric string is neither, whatever int() or
+    float() make of it."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one MSE sweep depends on.
@@ -99,10 +108,11 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.snr_grid_db) == 0:
             raise DomainError("snr_grid_db must not be empty")
+        for snr_db in self.snr_grid_db:
+            _check_number(snr_db, "snr_grid_db entries must be numbers")
+            snr_from_db(snr_db)
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
             raise DomainError("snr_grid_db contains duplicate points")
-        for snr_db in self.snr_grid_db:
-            snr_from_db(snr_db)
         _spec_params(self.covariance, COVARIANCE_PARAMS, "covariance")
         _spec_params(self.pilots, PILOT_PARAMS, "pilot")
         if not self.estimators:
@@ -114,11 +124,14 @@ class SweepConfig:
                 raise DomainError(
                     f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
                 )
+        _check_number(self.trials, "trials must be an integer", integral=True)
         if int(self.trials) < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         # the seed keys a Philox4x64 stream with one uint64 word
+        _check_number(self.seed, "seed must be an integer", integral=True)
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_number(self.rel_tol, "rel_tol must be a number")
         check_rel_tol(self.rel_tol)
 
 
@@ -251,22 +264,19 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
 def _resolve_estimator(name, stats, model, rel_tol):
     """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat.
 
-    blmmse, and mmse where it is exactly linear, apply the linear map W of
-    blmmse_operator or mmse_linear_operator.  A non-linear real
-    three-antenna single-input mmse point takes simo3_closed_batch; every
-    other mmse point reads the per-block sign tables that mmse_estimate
-    reads one row of (estimators._sign_tables).  Those rest on the odd
-    symmetry of each coupled block B of S and on the rotation r -> j r: at
-    most 2^(|B|-2) solves for a block the rotation maps onto itself, and
-    2^(|B|-1) for each pair of blocks it maps onto each other.
+    Two paths: blmmse, and mmse where it is exactly linear, apply the linear
+    map W of blmmse_operator or mmse_linear_operator; every other mmse
+    point reads the per-block sign tables that mmse_estimate reads one row
+    of (estimators._sign_tables).  Those rest on the odd symmetry of each
+    coupled block B of S and on the rotation r -> j r: at most 2^(|B|-2)
+    solves for a block the rotation maps onto itself, and 2^(|B|-1) for
+    each pair of blocks it maps onto each other; blocks of at most three
+    coordinates are solved in closed form as the tables are built.
     """
     linear = blmmse_operator if name == "blmmse" else mmse_linear_operator
     w = linear(stats, model)
     if w is not None:
         return lambda rr, ri: (rr + 1j * ri) @ w.T
-    if matches_simo3(stats, model):
-        args = (stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var)
-        return lambda rr, ri: simo3_closed_batch(*args, rr, ri)[0]
     evaluate, _ = _sign_tables(stats, model, rel_tol)
     return lambda rr, ri: evaluate(rr, ri)[0]
 

@@ -19,6 +19,12 @@ one row of the per-block sign tables; it is the bit-for-bit oracle of
 those tables.  `solved_by_the_tables` tells, for a problem whose S is one
 coupled block, which sign patterns index a row the tables solve rather
 than derive by the rotation r -> j r.
+
+`simo3_closed_batch` is the hand-written closed form of a real 1x3 point,
+one pilot and three receive antennas: the arcsine orthant probabilities
+and Tallis means of its two sign triples, vectorised over patterns.  The
+sweep took it before every non-linear point read the sign tables; it is
+the independent oracle of their closed-form rows.
 """
 
 import math
@@ -27,8 +33,13 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from onebitmimo import Estimate, positive_orthant_mean, standardize
-from onebitmimo.estimators import _check_obs
-from onebitmimo.exceptions import AccuracyError, DimensionError, DomainError
+from onebitmimo.estimators import STRUCT_TOL, _check_obs
+from onebitmimo.exceptions import (
+    AccuracyError,
+    DimensionError,
+    DomainError,
+    NotPositiveDefiniteError,
+)
 from onebitmimo.model import _philox, check_hermitian, real_form
 from onebitmimo.orthant import (
     _ARCSIN_SLACK,
@@ -37,11 +48,12 @@ from onebitmimo.orthant import (
     DEFAULT_MAX_SAMPLES,
     DEFAULT_REL_TOL,
     _cbc_vector,
-    _conditional_covariance,
+    _conditional_covariances,
     _prime_at_most,
     _qmc_orthant,
     _reordered_cholesky,
     _validate_spd,
+    arcsin_clamped,
 )
 
 # Draws per batch of the Monte Carlo oracles; batching bounds memory and
@@ -101,6 +113,74 @@ def solved_by_the_tables(r_real, r_imag):
     return row(np.concatenate([r_real, r_imag])) < row(np.concatenate([-r_imag, r_real]))
 
 
+def _is_real(sigma_ch):
+    return np.abs(sigma_ch.imag).max() <= STRUCT_TOL * max(np.abs(sigma_ch).max(), 1.0)
+
+
+def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
+    """Exact MMSE estimates for one pilot, three receive antennas and a real
+    channel covariance.
+
+    Antenna k observes variance d_k = |s|^2 sigma_kk + noise_var, so the
+    real and imaginary sign triples see correlations
+    beta_ij = |s|^2 sigma_ij / sqrt(d_i d_j), and coordinate k of their
+    truncated means carries the factor conj(s) / (2 sqrt(pi d_k)).
+
+    r_real and r_imag have shape (..., 3); returns estimates of shape
+    (..., 3) and the sign-pattern probabilities of shape (...,).
+    """
+    sigma = np.asarray(sigma_ch)
+    if sigma.shape != (3, 3):
+        raise DimensionError(f"sigma_ch must be 3x3, got shape {sigma.shape}")
+    if not _is_real(sigma):
+        raise DomainError("sigma_ch must be real")
+    sigma = check_hermitian(sigma.real.astype(float), "sigma_ch")
+    r_real, r_imag = np.asarray(r_real, dtype=float), np.asarray(r_imag, dtype=float)
+    if r_real.shape[-1:] != (3,) or r_imag.shape != r_real.shape:
+        raise DimensionError(f"sign arrays must be (..., 3), got {r_real.shape}, {r_imag.shape}")
+    s = complex(pilot)
+    noise_var = float(noise_var)
+    var = abs(s) ** 2 * sigma.diagonal() + noise_var
+    if var.min() <= 0.0:
+        raise DomainError("every observation variance |s|^2 sigma_kk + noise_var must be positive")
+    beta = (abs(s) ** 2 / np.sqrt(np.outer(var, var))) * sigma
+    b12, b13, b23 = beta[0, 1], beta[0, 2], beta[1, 2]
+    for name, b in (("beta12", b12), ("beta13", b13), ("beta23", b23)):
+        if abs(b) >= 1.0 - 1e-14:
+            raise DomainError(f"{name} = {b!r} on the boundary of (-1, 1)")
+    root = np.sqrt([1.0 - b12**2, 1.0 - b13**2, 1.0 - b23**2])
+    partial = np.array(
+        [
+            (b23 - b12 * b13) / (root[0] * root[1]),
+            (b13 - b12 * b23) / (root[0] * root[2]),
+            (b12 - b13 * b23) / (root[1] * root[2]),
+        ]
+    )
+    a_partial = arcsin_clamped(partial)
+    a12, a13, a23 = arcsin_clamped(b12), arcsin_clamped(b13), arcsin_clamped(b23)
+
+    def moments(signs):
+        triple = signs.prod(axis=-1)
+        v = signs / 4.0 + triple[..., None] * a_partial / (2.0 * np.pi)
+        p = 0.125 + (
+            signs[..., 0] * signs[..., 1] * a12
+            + signs[..., 0] * signs[..., 2] * a13
+            + signs[..., 1] * signs[..., 2] * a23
+        ) / (4.0 * np.pi)
+        if np.any(p <= 0.0):
+            raise NotPositiveDefiniteError(
+                "sign-pattern probability came out non-positive; "
+                "sigma_ch is not a valid covariance"
+            )
+        return v, p
+
+    v_r, p_r = moments(r_real)
+    v_i, p_i = moments(r_imag)
+    front = np.conj(s) / (2.0 * np.sqrt(np.pi * var))
+    h_hat = front * (v_r / p_r[..., None] + 1j * v_i / p_i[..., None]) @ sigma
+    return h_hat, p_r * p_i
+
+
 def numeric_orthant_probability(psi, seed, rel_tol=DEFAULT_REL_TOL,
                                 max_samples=DEFAULT_MAX_SAMPLES):
     """P(u > 0) for u ~ N(0, psi), integrated numerically without splitting."""
@@ -112,8 +192,8 @@ def numeric_orthant_mean(psi, seed, rel_tol=DEFAULT_REL_TOL):
     """(E[u | u > 0], P(u > 0)) for u ~ N(0, psi) from numeric probabilities."""
     prob = numeric_orthant_probability(psi, seed, rel_tol)
     g = np.array([
-        numeric_orthant_probability(_conditional_covariance(psi, k), seed + k + 1, rel_tol)
-        for k in range(psi.shape[0])
+        numeric_orthant_probability(cond, seed + k + 1, rel_tol)
+        for k, cond in enumerate(_conditional_covariances(psi))
     ])
     return psi @ (g / np.sqrt(2.0 * math.pi * psi.diagonal())) / prob, prob
 

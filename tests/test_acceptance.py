@@ -30,11 +30,10 @@ from onebitmimo import (
     run_mse_sweep,
     sample_realizations,
     second_order_stats,
-    simo3_closed_batch,
 )
 from onebitmimo.model import observe
 
-from numeric_oracle import numeric_mmse, truncated_mean_cf_2d
+from numeric_oracle import numeric_mmse, simo3_closed_batch, truncated_mean_cf_2d
 
 REL_TOL = 1e-4
 

@@ -113,11 +113,15 @@ def test_type_errors_rejected():
     raw["snr_grid_db"] = "not a list"
     with pytest.raises(DomainError, match="list"):
         sweep_config_from_dict(raw)
-    raw["snr_grid_db"] = [0, True]
-    with pytest.raises(DomainError, match="numbers"):
-        sweep_config_from_dict(raw)
+    for grid in ([0, True], [0, "10"]):
+        with pytest.raises(DomainError, match="numbers"):
+            sweep_config_from_dict(dict(raw, snr_grid_db=grid))
     raw["snr_grid_db"] = [0]
-    for key, value in (("trials", "many"), ("trials", True), ("seed", False)):
+    for value in ("1e-3", True):
+        with pytest.raises(DomainError, match="number"):
+            sweep_config_from_dict(dict(raw, rel_tol=value))
+    for key, value in (("trials", "many"), ("trials", True), ("seed", False),
+                       ("trials", "10"), ("trials", 2.5), ("seed", 2.5)):
         with pytest.raises(DomainError, match="integer"):
             sweep_config_from_dict(dict(raw, **{key: value}))
     for key, value in (("n_tx", True), ("n_rx", 2.7)):
@@ -125,8 +129,9 @@ def test_type_errors_rejected():
         with pytest.raises(DomainError, match="integer"):
             sweep_config_from_dict(dict(raw, dims=dims))
     cfg = sweep_config_from_dict(raw)
-    with pytest.raises(DomainError, match="number"):
-        point_snr_db(dict(raw, snr_db=True), cfg)
+    for value in (True, "10"):
+        with pytest.raises(DomainError, match="number"):
+            point_snr_db(dict(raw, snr_db=value), cfg)
     with pytest.raises(DimensionError):
         SystemDims(n_tx=True, n_rx=1, n_pilots=1)
 

@@ -3,9 +3,9 @@ three-antenna nonlinear closed form, and the general orthant path.
 
 The decisive checks are pairwise agreements between independently derived
 routes: hand-derived closed forms (written out here) against the
-estimators, the three-antenna closed form against the general reduction,
-and the general reduction with closed orthant forms against the purely
-numeric integrator.
+estimators, the hand-written three-antenna closed form of numeric_oracle
+against the sign tables, and the general reduction with closed orthant
+forms against the purely numeric integrator.
 """
 
 import math
@@ -32,15 +32,19 @@ from onebitmimo import (
     quantize,
     sample_realizations,
     second_order_stats,
-    simo3_closed_batch,
 )
 from onebitmimo.config import load_sweep_config
-from onebitmimo.estimators import matches_simo3
 from onebitmimo.model import SystemDims, observe, real_form
 from onebitmimo.orthant import _coupling_components
 from onebitmimo.simulate import build_covariance, build_point
 
-from numeric_oracle import numeric_mmse, sign_covariance, solved_by_the_tables, whole_s_mmse
+from numeric_oracle import (
+    numeric_mmse,
+    sign_covariance,
+    simo3_closed_batch,
+    solved_by_the_tables,
+    whole_s_mmse,
+)
 
 LINEAR_TOL = 1e-9
 
@@ -285,7 +289,6 @@ def test_simo3_matches_general_closed_path():
         pilot = rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         nv = rng.uniform(0.4, 2.0)
         stats, model = simo_setup(corr, pilot=pilot, nv=nv)
-        assert matches_simo3(stats, model)
         for obs in all_sign_patterns(3):
             h_closed, pr_closed = simo3_closed_batch(corr, pilot, nv, obs.r_real, obs.r_imag)
             general = mmse_estimate(stats, model, obs)
@@ -295,12 +298,11 @@ def test_simo3_matches_general_closed_path():
 
 
 def test_simo3_matches_reduction_on_shipped_config():
-    # the sweep takes the batch closed form where a single estimate takes
-    # the orthant reduction; both must give the same posterior mean
+    # the hand-written closed form and the sign tables must give the same
+    # posterior mean
     cfg = load_sweep_config(os.path.join(CONFIGS, "receive_correlated.yaml"))
     for snr_db in cfg.snr_grid_db:
         stats, model = build_point(cfg, snr_db)
-        assert matches_simo3(stats, model)
         for obs in all_sign_patterns(3):
             h_closed, pr_closed = simo3_closed_batch(
                 stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var, obs.r_real, obs.r_imag
@@ -324,7 +326,6 @@ def test_simo3_matches_reduction_for_any_real_covariance():
         pilot = rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         nv = rng.uniform(0.4, 2.0)
         stats, model = simo_setup(sigma, pilot=pilot, nv=nv)
-        assert matches_simo3(stats, model)
         h_closed, pr_closed = simo3_closed_batch(sigma, pilot, nv, r_real, r_imag)
         for obs, h, pr in zip(patterns, h_closed, pr_closed):
             est = mmse_estimate(stats, model, obs)
@@ -381,6 +382,29 @@ def test_simo3_rejects_invalid_correlation_triple():
         simo3_closed_batch(sigma, 10.0, 0.01, obs.r_real, obs.r_imag)
 
 
+def test_simo3_view_equals_the_hand_written_closed_form():
+    # the public three-antenna name reads the sign tables of the point
+    cfg = load_sweep_config(os.path.join(CONFIGS, "receive_correlated.yaml"))
+    patterns = list(all_sign_patterns(3))
+    rr = np.array([obs.r_real for obs in patterns])
+    ri = np.array([obs.r_imag for obs in patterns])
+    batch = np.stack([rr, -ri]), np.stack([ri, rr])
+    assert len(cfg.snr_grid_db) == 9
+    for snr_db in cfg.snr_grid_db:
+        stats, model = build_point(cfg, snr_db)
+        args = (stats.sigma_ch.real, model.pilots[0, 0], stats.noise_var)
+        for signs in ((rr, ri), batch):
+            h_oracle, pr_oracle = simo3_closed_batch(*args, *signs)
+            h_view, pr_view = estimators.simo3_closed_batch(*args, *signs)
+            assert h_view.shape == h_oracle.shape and pr_view.shape == pr_oracle.shape
+            assert np.abs(h_view - h_oracle).max() <= 1e-12 * np.abs(h_oracle).max()
+            np.testing.assert_allclose(pr_view, pr_oracle, rtol=1e-12, atol=0.0)
+    assert h_view.shape == (2, 64, 3)
+    with pytest.raises(DomainError, match="real"):
+        estimators.simo3_closed_batch(np.eye(3) + 0.2j * (np.eye(3, k=1) - np.eye(3, k=-1)),
+                                      1.0, 1.0, rr, ri)
+
+
 def test_simo3_conjugation_symmetry():
     corr = exponential_covariance(3, 0.7)
     stats, model = simo_setup(corr, pilot=1.3 + 0.0j)
@@ -410,7 +434,6 @@ def general_complex_setup():
 def test_general_dispatch_label():
     stats, model = general_complex_setup()
     assert mmse_linear_operator(stats, model) is None
-    assert not matches_simo3(stats, model)
     obs = observation_from_signs(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
     est = mmse_estimate(stats, model, obs)
     assert est.estimator == "mmse-general"
@@ -462,15 +485,19 @@ def test_rotation_invariance_numeric_config():
 
 def test_rotation_invariance_is_exact_on_numeric_blocks():
     # the tables solve one row of each pair r, j r and derive the other, so
-    # the invariant holds bit for bit on a numeric 4-block too
-    stats, model = general_complex_setup()
-    assert [list(b) for b in _coupling_components(real_form(stats.omega_b))] == [[0, 1, 2, 3]]
-    for obs in all_sign_patterns(2):
-        a = mmse_estimate(stats, model, obs, rel_tol=1e-3, seed=2)
-        b = mmse_estimate(stats, model, rotated(obs), rel_tol=1e-3, seed=2)
-        assert b.estimator == a.estimator == "mmse-general"
-        assert np.array_equal(b.h_hat, 1j * a.h_hat)
-        assert b.pr_r == a.pr_r
+    # the invariant holds bit for bit on a numeric 4-block too, and on the
+    # two closed 3-blocks of a receive_correlated point
+    numeric = general_complex_setup()
+    assert [list(b) for b in _coupling_components(real_form(numeric[0].omega_b))] == [[0, 1, 2, 3]]
+    cfg = load_sweep_config(os.path.join(CONFIGS, "receive_correlated.yaml"))
+    closed = build_point(cfg, cfg.snr_grid_db[4])
+    for (stats, model), label in ((numeric, "mmse-general"), (closed, "mmse-closed")):
+        for obs in all_sign_patterns(model.dims.obs_len):
+            a = mmse_estimate(stats, model, obs, rel_tol=1e-3, seed=2)
+            b = mmse_estimate(stats, model, rotated(obs), rel_tol=1e-3, seed=2)
+            assert b.estimator == a.estimator == label
+            assert np.array_equal(b.h_hat, 1j * a.h_hat)
+            assert b.pr_r == a.pr_r
 
 
 def test_scalar_pattern_probability_is_quarter():
@@ -487,12 +514,11 @@ def test_completeness_closed_configs():
     """Sign-pattern probabilities sum to 1, the probability-weighted
     estimates sum to 0 (the prior mean), and every estimate is exact."""
     # a 1x3 real covariance with a non-unit diagonal fails the optimality
-    # verdict, so the sweep takes the three-antenna closed form; the
-    # reduction solves its two 3x3 blocks of S by closed forms
+    # verdict, so the sweep reads the sign tables, which solve its two 3x3
+    # blocks of S by closed forms
     scale = np.sqrt([2.0, 1.0, 0.5])
     unstandardized = simo_setup(scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :])
     assert mmse_linear_operator(*unstandardized) is None
-    assert matches_simo3(*unstandardized)
     cases = [
         scalar_setup(eta=5.0),
         simo_setup(exponential_covariance(2, 0.8)),

@@ -28,6 +28,8 @@ from onebitmimo.orthant import (
     _N_SHIFTS,
     DEFAULT_MAX_SAMPLES,
     MAX_QMC_DIM,
+    _closed_mean,
+    _closed_orthant,
     _coupling_components,
     arcsin_clamped,
 )
@@ -90,6 +92,27 @@ def test_closed_form_matches_arcsine_expression():
             math.asin(psi[0, 1]) + math.asin(psi[0, 2]) + math.asin(psi[1, 2])
         ) / (4.0 * math.pi)
         assert abs(orthant_probability(psi) - expect) < CLOSED_TOL
+
+
+def test_closed_forms_give_each_matrix_of_a_stack_its_own_bits():
+    # the sign tables fill closed rows in one stacked call, and the whole-S
+    # oracle solves one block at a time: the two must agree to the bit
+    rng = np.random.default_rng(16)
+    assert _closed_orthant(np.empty((0, 0))) == 1.0
+    assert _closed_orthant(np.eye(1)) == 0.5
+    for n in (1, 2, 3):
+        a = rng.standard_normal((2, 40, n, n + 1))
+        psi = a @ np.swapaxes(a, -1, -2) + 0.05 * np.eye(n)
+        scale = np.sqrt(np.diagonal(psi, axis1=-2, axis2=-1))
+        corr = psi / (scale[..., :, None] * scale[..., None, :])
+        mean, prob = _closed_mean(psi)
+        probs = _closed_orthant(corr)
+        assert mean.shape == (2, 40, n) and prob.shape == probs.shape == (2, 40)
+        for idx in np.ndindex(2, 40):
+            alone_mean, alone_prob = _closed_mean(psi[idx])
+            assert np.array_equal(alone_mean, mean[idx])
+            assert alone_prob == prob[idx]
+            assert _closed_orthant(corr[idx]) == probs[idx]
 
 
 def test_scale_invariance():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import onebitmimo.estimators as estimators
+import onebitmimo.orthant as orthant
 import onebitmimo.simulate as simulate
 from onebitmimo import (
     CapabilityError,
@@ -218,6 +219,12 @@ def test_config_validation():
         scalar_config(seed=-1)
     with pytest.raises(DomainError):
         scalar_config(rel_tol=2.0)
+    # int() would read True as 1 and truncate 2.5; float() would read "10"
+    for key, value in (("trials", True), ("trials", 2.5), ("seed", 2.5), ("seed", True),
+                       ("snr_grid_db", ("10",)), ("snr_grid_db", (True,)),
+                       ("rel_tol", "1e-3"), ("rel_tol", True)):
+        with pytest.raises(DomainError, match="must be (an integer|a number|numbers)"):
+            scalar_config(**{key: value})
 
 
 def test_seed_beyond_one_stream_key_rejected():
@@ -252,10 +259,13 @@ def test_unservable_point_fails_before_any_sampling(monkeypatch):
 
 
 def test_unstandardized_real_simo3_sweep_takes_closed_form(monkeypatch):
-    def tables(*args, **kwargs):
-        raise AssertionError("the sweep fell back to the sign tables")
+    # the sign tables fill both 3-blocks of S in closed form, with no
+    # per-row reduction and no orthant probability of the general route
+    def solve(*args, **kwargs):
+        raise AssertionError("the sweep left the closed form")
 
-    monkeypatch.setattr(simulate, "_sign_tables", tables)
+    monkeypatch.setattr(estimators, "positive_orthant_mean", solve)
+    monkeypatch.setattr(orthant, "orthant_probability", solve)
     scale = np.sqrt([2.0, 1.0, 0.5])
     sigma = scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]
     cfg = SweepConfig(
