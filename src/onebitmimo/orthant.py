@@ -5,18 +5,27 @@ Two quantities drive the optimal estimator: the orthant probability
     P(psi) = Pr[u > 0],  u ~ N(0, psi),
 
 and the truncated mean E[u | u > 0]; the estimator takes psi to be the
-covariance S of the sign-folded observation.  P has exact arcsine closed
-forms up to dimension 3; beyond that it is integrated with the Genz-Bretz
-method: the Cholesky factor is built with variable reordering (the least
-likely coordinate conditioned first), and the sequential-conditioning
-integrand is averaged over randomly shifted copies of a rank-1 lattice
-rule whose generating vector comes from the fast component-by-component
-(CBC) construction of Nuyens and Cools.  The spread over the shifts gives
-an error estimate alongside the value.  Each round is one vectorised
-integrand pass over all of its shifts, with the points per call bounded.
+covariance S of the sign-folded observation.  Each coupled block of psi
+takes one of three routes:
+
+* up to dimension 3, the exact arcsine closed forms;
+* in dimensions 4 and 5, Plackett's (1954) identity, which writes P as
+  2^-n plus one-dimensional integrals of the closed form of dimension
+  n - 2, taken by a Gauss-Kronrod rule whose embedded Gauss rule gives
+  an error estimate; a block whose estimate misses the tolerance goes to
+  the lattice below at the same seed;
+* beyond that, the Genz-Bretz method: the Cholesky factor is built with
+  variable reordering (the least likely coordinate conditioned first),
+  and the sequential-conditioning integrand is averaged over randomly
+  shifted copies of a rank-1 lattice rule whose generating vector comes
+  from the fast component-by-component (CBC) construction of Nuyens and
+  Cools.  The spread over the shifts gives an error estimate alongside
+  the value.  Each round is one vectorised integrand pass over all of its
+  shifts, with the points per call bounded.
+
 The truncated mean is reduced to a vector of one-dimension-lower orthant
 probabilities of conditional covariances (Tallis 1961), so it inherits
-whichever path those take.  On a block of at most three coordinates that
+whichever route those take.  On a block of at most three coordinates that
 whole reduction is one closed form, which runs on a stack of blocks at
 once and gives each block the bits it would get alone.
 """
@@ -55,6 +64,36 @@ _N_SHIFTS = 10
 _POINTS_PER_DIM = 100
 # Most points one integrand call evaluates, unless a single shift has more.
 _MAX_CALL_POINTS = 2**16
+
+# Largest coupled block whose orthant probability is integrated by Plackett's
+# identity, one dimension of quadrature over closed forms of dimension n - 2.
+_MAX_PLACKETT_DIM = 5
+# Most equal panels the quadrature splits each integral into before it
+# hands the block to the quasi-random integrator.
+_PLACKETT_PANELS = 8
+
+# The 15-point Gauss-Kronrod rule and its embedded 7-point Gauss rule
+# (QUADPACK qk15, Piessens et al. 1983), moved from [-1, 1] to [0, 1]:
+# nodes ascending, Gauss weights zero at the Kronrod-only nodes.
+_KRONROD_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_NODES = 0.5 + 0.5 * np.concatenate([-_KRONROD_HALF, _KRONROD_HALF[-2::-1]])
+_KRONROD_WEIGHTS = 0.5 * np.concatenate([_KRONROD_HALF_WEIGHTS, _KRONROD_HALF_WEIGHTS[-2::-1]])
+_GAUSS_WEIGHTS = 0.5 * np.concatenate([_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[-2::-1]])
 
 
 def arcsin_clamped(x):
@@ -138,6 +177,67 @@ def _coupling_components(m):
     for _ in range((m.shape[0] - 1).bit_length()):
         reach = (reach.astype(np.int64) @ reach) > 0
     return [np.flatnonzero(reach[i]) for i in range(m.shape[0]) if not reach[i, :i].any()]
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(n):
+    """(i, j, others) of the n (n - 1) / 2 pairs i < j of n coordinates:
+    others[p] lists the n - 2 coordinates outside pair p, ascending."""
+    i, j = np.triu_indices(n, 1)
+    others = np.array([[k for k in range(n) if k not in pair] for pair in zip(i, j)],
+                      dtype=int).reshape(len(i), n - 2)
+    for index in (i, j, others):
+        index.setflags(write=False)
+    return i, j, others
+
+
+def _plackett_orthant(corr, rel_tol):
+    """Orthant probability of a standardized covariance R of n <= 5
+    coordinates by Plackett's (1954) identity, as (estimate, error estimate).
+
+    Along R(t) = I + t (R - I), dP/dR_ij = phi_2(0, 0; R_ij) P_{n-2}(R_{.|ij}),
+    with R_{.|ij} the correlation of the other coordinates given
+    x_i = x_j = 0; substituting t R_ij = sin u cancels the bivariate density:
+
+        P(R) = 2^-n + 1/(2 pi) sum_{i<j} int_0^{arcsin R_ij} P_{n-2}(R(t)_{.|ij}) du.
+
+    The path is a convex combination of I and R, so it stays positive
+    definite, and P_{n-2} is the arcsine closed form.  Each pair's integral
+    takes the 15-point Kronrod rule on 1, 2, 4, ... equal panels, every node
+    and pair in one pass, until the error estimate, the summed gap to the
+    embedded 7-point Gauss rule, is at most rel_tol times the estimate or
+    _PLACKETT_PANELS panels are spent.
+    """
+    n = corr.shape[0]
+    i, j, others = _pair_indices(n)
+    rho = corr[i, j]
+    end = arcsin_clamped(rho)
+    # conditional covariance of the others given x_i = x_j = 0 at R(t): the
+    # rows a, b of R(t) towards i, j are t a, t b and their correlation is s
+    a, b = corr[others, i[:, None]], corr[others, j[:, None]]
+    outer = lambda x, y: x[:, :, None] * y[:, None, :]
+    same, cross = outer(a, a) + outer(b, b), outer(a, b) + outer(b, a)
+    eye = np.eye(n - 2)
+    off = corr[others[:, :, None], others[:, None, :]] * (1.0 - eye)
+    panels = 1
+    while True:
+        nodes = ((np.arange(panels)[:, None] + _NODES) / panels).ravel()
+        u = end * nodes[:, None]
+        s, cos2 = np.sin(u), np.cos(u) ** 2
+        t = np.divide(s, rho, out=np.zeros_like(s), where=rho != 0.0)
+        tt = t[..., None, None]
+        cond = (tt * off + eye
+                - tt * tt * (same - s[..., None, None] * cross) / cos2[..., None, None])
+        scale = np.sqrt(np.diagonal(cond, axis1=-2, axis2=-1))
+        f = _closed_orthant(cond / (scale[..., :, None] * scale[..., None, :]))
+        f = f.reshape(panels, len(_NODES), len(rho)) / panels
+        kronrod = np.tensordot(_KRONROD_WEIGHTS, f, axes=(0, 1))
+        gap = np.abs(kronrod - np.tensordot(_GAUSS_WEIGHTS, f, axes=(0, 1))).sum(0)
+        est = 0.5**n + float(end @ kronrod.sum(0)) / (2.0 * np.pi)
+        err = float(np.abs(end) @ gap) / (2.0 * np.pi)
+        if err <= rel_tol * est or panels == _PLACKETT_PANELS:
+            return est, err
+        panels *= 2
 
 
 def _reordered_cholesky(corr):
@@ -309,24 +409,44 @@ def _integrand(chol, pts):
     return prob
 
 
+def _check_stream_keys(first, last):
+    """DomainError unless the integrator seeds first..last can key Philox
+    streams; checked for every block of 4 or more coordinates, whether
+    quadrature or the lattice then serves it."""
+    if first < 0 or last >= 2**64:
+        raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
+
+
 def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
                         seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
     Uncoupled blocks are split off first; blocks of dimension 1..3 use the
-    arcsine closed forms exactly, larger coupled blocks go through the
-    quasi-random integrator at relative tolerance rel_tol, which must lie
-    in (0, 1).
+    arcsine closed forms exactly.  Blocks of dimension 4 and 5 take
+    Plackett's identity by quadrature (see _plackett_orthant), and fall
+    back to the quasi-random integrator at the same seed when its error
+    estimate on _PLACKETT_PANELS panels still exceeds rel_tol times the
+    value; larger blocks go to the quasi-random integrator directly, at
+    relative tolerance rel_tol, which must lie in (0, 1).
+    The seed must key a Philox stream, 0 <= seed < 2**64, once a block
+    has 4 or more coordinates, whichever route serves it.
     """
     check_rel_tol(rel_tol)
     corr = standardize(psi)
+    blocks = _coupling_components(corr)
+    if max(len(comp) for comp in blocks) > 3:
+        _check_stream_keys(seed, seed)
     prob = 1.0
-    for comp in _coupling_components(corr):
+    for comp in blocks:
         sub = corr[np.ix_(comp, comp)]
         if len(comp) <= 3:
-            prob *= _closed_orthant(sub)
+            p = _closed_orthant(sub)
         else:
-            prob *= _qmc_orthant(sub, rel_tol, max_samples, seed)[0]
+            p, err = (_plackett_orthant(sub, rel_tol) if len(comp) <= _MAX_PLACKETT_DIM
+                      else (0.0, math.inf))
+            if not err <= rel_tol * p:
+                p = _qmc_orthant(sub, rel_tol, max_samples, seed)[0]
+        prob *= p
     return prob
 
 
@@ -377,17 +497,22 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     the other coordinates given u_k = 0; each coordinate costs one orthant
     probability of one dimension less, plus one for P(psi).  Uncoupled
     blocks of psi factor the distribution and are solved independently,
-    block j with seeds offset by 1000 j.  Block j integrates at seeds
-    seed + 1000 j + k, k = 0..len(block); these key Philox streams and must
-    stay below 2**64, so a seed that close to 2**64 raises DomainError once
-    a block needs the integrator.
+    block j with seeds offset by 1000 j.  Block j of 4 or more coordinates
+    may integrate at seeds seed + 1000 j + k, k = 0..len(block); these key
+    Philox streams, so every one of them must lie in [0, 2**64), or
+    DomainError is raised before any block is solved, whether quadrature
+    or the lattice would have served it.
     """
     check_rel_tol(rel_tol)
     psi = _validate_spd(psi, "psi")
+    blocks = _coupling_components(psi)
+    for j, comp in enumerate(blocks):
+        if len(comp) > 3:
+            _check_stream_keys(seed + 1000 * j, seed + 1000 * j + len(comp))
     mean = np.empty(psi.shape[0])
     prob = 1.0
     closed = True
-    for j, comp in enumerate(_coupling_components(psi)):
+    for j, comp in enumerate(blocks):
         sub = psi[np.ix_(comp, comp)]
         mean[comp], p = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j)
         prob *= p

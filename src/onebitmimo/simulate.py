@@ -28,7 +28,6 @@ from .estimators import (
     _sign_tables,
     blmmse_operator,
     mmse_estimate,  # not called here: perfbench/tracing.py wraps simulate.mmse_estimate
-    mmse_linear_operator,
     simo3_closed_batch,  # not called here: perfbench/tracing.py wraps simulate.simo3_closed_batch
     tx_covariance,
 )
@@ -41,6 +40,7 @@ from .model import (
     sample_realizations,
     second_order_stats,
 )
+from .optimality import is_blmmse_optimal
 from .orthant import DEFAULT_REL_TOL, check_rel_tol
 from .quantizer import sgn
 
@@ -261,24 +261,31 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
     return base * math.sqrt(target / energy)
 
 
-def _resolve_estimator(name, stats, model, rel_tol):
-    """Turn an estimator name into a batch evaluator (r_real, r_imag) -> h_hat.
+def _resolve_estimators(names, stats, model, rel_tol):
+    """Turn estimator names into batch evaluators (r_real, r_imag) -> h_hat.
 
-    Two paths: blmmse, and mmse where it is exactly linear, apply the linear
-    map W of blmmse_operator or mmse_linear_operator; every other mmse
-    point reads the per-block sign tables that mmse_estimate reads one row
-    of (estimators._sign_tables).  Those rest on the odd symmetry of each
+    Two paths: blmmse, and mmse where it is exactly linear (see
+    is_blmmse_optimal), apply the linear map W of blmmse_operator, built
+    once per point for both; every other mmse point reads the per-block
+    sign tables that mmse_estimate reads one row of
+    (estimators._sign_tables).  Those rest on the odd symmetry of each
     coupled block B of S and on the rotation r -> j r: at most 2^(|B|-2)
     solves for a block the rotation maps onto itself, and 2^(|B|-1) for
     each pair of blocks it maps onto each other; blocks of at most three
     coordinates are solved in closed form as the tables are built.
     """
-    linear = blmmse_operator if name == "blmmse" else mmse_linear_operator
-    w = linear(stats, model)
-    if w is not None:
-        return lambda rr, ri: (rr + 1j * ri) @ w.T
-    evaluate, _ = _sign_tables(stats, model, rel_tol)
-    return lambda rr, ri: evaluate(rr, ri)[0]
+    mmse_linear = "mmse" in names and is_blmmse_optimal(stats).optimal
+    if "blmmse" in names or mmse_linear:
+        w = blmmse_operator(stats, model)
+        linear = lambda rr, ri: (rr + 1j * ri) @ w.T
+    evals = {}
+    for name in names:
+        if name == "blmmse" or mmse_linear:
+            evals[name] = linear
+        else:
+            evaluate, _ = _sign_tables(stats, model, rel_tol)
+            evals[name] = lambda rr, ri: evaluate(rr, ri)[0]
+    return evals
 
 
 def build_point(config, snr_db):
@@ -314,10 +321,7 @@ def run_mse_sweep(config):
         eta_notes.append(
             f"snr_db={snr_db:g} eta={np.linalg.norm(model.pilots) ** 2 / dims.n_pilots:.12g}"
         )
-        evals = {
-            name: _resolve_estimator(name, stats, model, config.rel_tol)
-            for name in config.estimators
-        }
+        evals = _resolve_estimators(config.estimators, stats, model, config.rel_tol)
         points.append((snr_db, stats, model, evals))
     # h and n read only the seed, the trial, sigma_ch and NOISE_VAR, which
     # no point changes, so any point's stats can draw them.

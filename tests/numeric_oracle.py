@@ -12,6 +12,11 @@ count and average plain Philox draws, on streams 1 and 2 of the seed, and
 became one integrand pass over all of its shifts: one integrand call and one
 sum per shift, for bit-for-bit comparison with `_qmc_orthant`.
 
+`plackett_orthant_reference` integrates Plackett's identity for an orthant
+probability with a many-node Gauss-Legendre rule, each conditional
+correlation taken by a linear solve; it is the high-accuracy reference of
+the package's 15-node quadrature of the same identity.
+
 `sign_covariance` builds the sign-folded covariance S of one observation,
 and `whole_s_mmse` is the posterior mean as one `positive_orthant_mean`
 call over the whole of S, the route `mmse_estimate` took before it became
@@ -48,6 +53,7 @@ from onebitmimo.orthant import (
     DEFAULT_MAX_SAMPLES,
     DEFAULT_REL_TOL,
     _cbc_vector,
+    _closed_orthant,
     _conditional_covariances,
     _prime_at_most,
     _qmc_orthant,
@@ -179,6 +185,30 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     front = np.conj(s) / (2.0 * np.sqrt(np.pi * var))
     h_hat = front * (v_r / p_r[..., None] + 1j * v_i / p_i[..., None]) @ sigma
     return h_hat, p_r * p_i
+
+
+def plackett_orthant_reference(psi, nodes=256):
+    """P(u > 0) for u ~ N(0, psi) of at most 5 coordinates by Plackett's
+    identity, P(R) = 2^-n + 1/(2 pi) sum_{i<j} int_0^{arcsin R_ij}
+    P_{n-2}(R(t)_{.|ij}) du along R(t) = I + t (R - I) with t R_ij = sin u,
+    on a `nodes`-point Gauss-Legendre rule per pair, one pair and one node
+    at a time."""
+    corr = standardize(psi)
+    n = corr.shape[0]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.5**n
+    for i, j in zip(*np.triu_indices(n, 1)):
+        pair = [i, j]
+        others = [k for k in range(n) if k not in pair]
+        end = math.asin(corr[i, j])
+        for node, weight in zip(0.5 + 0.5 * x, 0.5 * w):
+            u = end * node
+            t = math.sin(u) / corr[i, j] if corr[i, j] else 0.0
+            r = np.eye(n) + t * (corr - np.eye(n))
+            cond = r[np.ix_(others, others)] - r[np.ix_(others, pair)] @ np.linalg.solve(
+                r[np.ix_(pair, pair)], r[np.ix_(pair, others)])
+            total += end * weight * float(_closed_orthant(standardize(cond))) / (2.0 * math.pi)
+    return total
 
 
 def numeric_orthant_probability(psi, seed, rel_tol=DEFAULT_REL_TOL,

@@ -1,10 +1,13 @@
 """Orthant probabilities and truncated means.
 
-Closed forms are pinned to hand-derived exact values; the quasi-random
-integrator is cross-checked against both the closed forms and the plain
-Monte Carlo counting oracle, which shares no code with it.
+Closed forms are pinned to hand-derived exact values; the quadrature of
+Plackett's identity and the quasi-random integrator are cross-checked
+against the closed forms, the plain Monte Carlo counting oracle, which
+shares no code with either, and (the quadrature) a many-node reference of
+the same identity.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +34,8 @@ from onebitmimo.orthant import (
     _closed_mean,
     _closed_orthant,
     _coupling_components,
+    _plackett_orthant,
+    _qmc_orthant,
     arcsin_clamped,
 )
 from onebitmimo.simulate import build_point
@@ -39,6 +44,7 @@ from numeric_oracle import (
     numeric_orthant_mean,
     numeric_orthant_probability,
     orthant_probability_mc,
+    plackett_orthant_reference,
     positive_orthant_mean_mc,
     qmc_orthant_per_shift,
     sign_covariance,
@@ -197,12 +203,130 @@ def test_qmc_deterministic_per_seed():
     assert c == pytest.approx(a, rel=1e-3)
 
 
+def test_qmc_direct_matches_counting_oracle():
+    rng = np.random.default_rng(29)
+    for n in (4, 5):
+        psi = random_correlation(n, rng)
+        qmc = _qmc_orthant(standardize(psi), orthant.DEFAULT_REL_TOL, DEFAULT_MAX_SAMPLES, 1)[0]
+        mc, se = orthant_probability_mc(psi, 2_000_000, seed=4)
+        assert abs(qmc - mc) < 5.0 * se + 1e-3 * qmc
+
+
+def test_qmc_direct_deterministic_per_seed():
+    corr = standardize(random_correlation(4, np.random.default_rng(41)))
+    a = _qmc_orthant(corr, orthant.DEFAULT_REL_TOL, DEFAULT_MAX_SAMPLES, 7)[0]
+    b = _qmc_orthant(corr, orthant.DEFAULT_REL_TOL, DEFAULT_MAX_SAMPLES, 7)[0]
+    c = _qmc_orthant(corr, orthant.DEFAULT_REL_TOL, DEFAULT_MAX_SAMPLES, 8)[0]
+    assert a == b
+    assert c == pytest.approx(a, rel=1e-3)
+
+
 def test_qmc_accuracy_error_carries_estimate():
+    # the quadrature meets this tolerance on this 4-block (next test), so
+    # the lattice's own failure is checked on the lattice itself
     psi = random_correlation(4, np.random.default_rng(5))
     with pytest.raises(AccuracyError) as info:
-        orthant_probability(psi, rel_tol=1e-10, max_samples=50_000, seed=0)
+        _qmc_orthant(standardize(psi), 1e-10, 50_000, 0)
     assert info.value.estimate > 0.0
     assert info.value.error_estimate > 0.0
+
+
+def test_quadrature_meets_a_tolerance_beyond_the_lattice_budget():
+    psi = random_correlation(4, np.random.default_rng(5))
+    p = orthant_probability(psi, rel_tol=1e-10, max_samples=50_000, seed=0)
+    ref = plackett_orthant_reference(psi)
+    assert abs(p - ref) <= 1e-10 * ref
+
+
+# ---------------------------------------------------------------------------
+# quadrature of Plackett's identity
+
+
+def test_kronrod_rule_integrates_polynomials_exactly():
+    # 15 Kronrod nodes are exact to degree 22, the embedded 7 Gauss nodes
+    # to degree 13; on [0, 1] the integral of x^d is 1 / (d + 1)
+    x = orthant._NODES
+    for d in range(23):
+        assert orthant._KRONROD_WEIGHTS @ x**d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+        if d <= 13:
+            assert orthant._GAUSS_WEIGHTS @ x**d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+    assert abs(orthant._GAUSS_WEIGHTS @ x**14 - 1.0 / 15) > 1e-10
+
+
+def test_quadrature_equals_closed_form_on_3x3():
+    # P_1 = 1/2 is constant under the substitution t R_ij = sin u, so the
+    # rule integrates it exactly and the identity reduces to the arcsine sum
+    a = np.random.default_rng(71).standard_normal((40, 3, 5))
+    for cov in a @ np.swapaxes(a, -1, -2):
+        corr = standardize(cov)
+        est, err = _plackett_orthant(corr, 1e-15)
+        assert abs(est - _closed_orthant(corr)) <= 1e-15
+        assert err <= 1e-15
+
+
+def test_quadrature_matches_counting_oracle(monkeypatch):
+    monkeypatch.setattr(orthant, "_qmc_orthant", None)
+    rng = np.random.default_rng(31)
+    for n in (4, 5):
+        for _ in range(2):
+            psi = random_correlation(n, rng)
+            p = orthant_probability(psi, seed=1)
+            mc, se = orthant_probability_mc(psi, 2_000_000, seed=4)
+            assert abs(p - mc) < 5.0 * se
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_quadrature_sign_patterns_sum_to_one(monkeypatch, n):
+    # the 2^n sign flips of one block cancel term by term when every flip
+    # takes the same rule, so the sum is 1 to rounding, which the lattice's
+    # standard error cannot reach; flips that split their integrals into
+    # panels hold it to the quadrature's accuracy instead
+    monkeypatch.setattr(orthant, "_qmc_orthant", None)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        psi = random_correlation(n, rng)
+        flips = [sign_pattern_flip(psi, signs) for signs in itertools.product((-1.0, 1.0), repeat=n)]
+        one_panel = [_plackett_orthant(standardize(flip), 1.0) for flip in flips]
+        assert all(err <= 1e-2 * est for est, err in one_panel)
+        assert abs(sum(orthant_probability(flip, rel_tol=1e-2) for flip in flips) - 1.0) < 1e-12
+        assert abs(sum(orthant_probability(flip) for flip in flips) - 1.0) < 1e-8
+
+
+def test_near_singular_block_is_accurate_or_falls_back(monkeypatch):
+    # two nearly equal coordinates put max |rho| above 0.9997, where the
+    # rule converges slowly; each block must either hold rel_tol against a
+    # 256-node value or go to the lattice at the same seed, never come back
+    # with an error estimate above rel_tol times the value
+    seed = 3
+    fallbacks = []
+    qmc = orthant._qmc_orthant
+
+    def qmc_spy(corr, tol, max_samples, key):
+        fallbacks.append((tol, key))
+        return qmc(corr, tol, max_samples, key)
+
+    monkeypatch.setattr(orthant, "_qmc_orthant", qmc_spy)
+    rng = np.random.default_rng(17)
+    routes = []
+    for _ in range(4):
+        a = rng.standard_normal((5, 5))
+        a[1] = a[0] + 0.01 * rng.standard_normal(5)
+        corr = standardize(a @ a.T)
+        assert np.abs(corr - np.eye(5)).max() >= 0.9997
+        ref = plackett_orthant_reference(corr)
+        for rel_tol in (1e-3, 1e-4):
+            est, err = _plackett_orthant(corr, rel_tol)
+            fallbacks.clear()
+            p = orthant_probability(corr, rel_tol=rel_tol, seed=seed)
+            if fallbacks:
+                assert err > rel_tol * est
+                assert fallbacks == [(rel_tol, seed)]
+                routes.append("lattice")
+            else:
+                assert p == est and err <= rel_tol * p
+                assert abs(p - ref) <= rel_tol * ref
+                routes.append("quadrature")
+    assert set(routes) == {"lattice", "quadrature"}
 
 
 def record_rounds(monkeypatch):

@@ -540,3 +540,22 @@ def test_sweep_draws_each_chunk_once_for_all_points(monkeypatch):
             starts.clear()
             run_mse_sweep(dataclasses.replace(cfg, snr_grid_db=grid))
             assert starts == list(range(0, 71, 7))
+
+
+def test_linear_point_builds_its_map_once(monkeypatch):
+    # blmmse and the exactly linear mmse share one W per point, whether a
+    # caller reaches blmmse_operator through simulate or estimators
+    calls = []
+    operator = estimators.blmmse_operator
+
+    def counted(stats, model):
+        calls.append(stats)
+        return operator(stats, model)
+
+    monkeypatch.setattr(simulate, "blmmse_operator", counted)
+    monkeypatch.setattr(estimators, "blmmse_operator", counted)
+    transmit = load_sweep_config(os.path.join(CONFIGS, "transmit_correlated.yaml"))
+    assert transmit.estimators == ("mmse", "blmmse") and len(transmit.snr_grid_db) == 7
+    result = run_mse_sweep(dataclasses.replace(transmit, trials=10))
+    assert len(calls) == 7
+    assert len(result.rows) == 14
