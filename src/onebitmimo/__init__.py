@@ -15,7 +15,6 @@ from .estimators import (
     blmmse_operator,
     mmse_estimate,
     mmse_linear_operator,
-    simo3_closed_batch,
 )
 from .exceptions import (
     AccuracyError,

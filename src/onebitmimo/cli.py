@@ -38,8 +38,7 @@ def _fmt_vector(v):
 
 
 def _load_observation(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    raw = config_mod.load_yaml(path, "observation file")
     if not isinstance(raw, dict):
         raise DomainError("observation file must be a mapping")
     if "r_real" in raw and "r_imag" in raw:

@@ -27,9 +27,17 @@ _ALLOWED_KEYS = {
 _DIM_KEYS = {"n_tx", "n_rx", "n_pilots"}
 
 
-def load_raw(path):
+def load_yaml(path, what):
+    """Parsed contents of a YAML file; DomainError naming it if it does not parse."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise DomainError(f"{what} {path} is not valid YAML: {exc}") from exc
+
+
+def load_raw(path):
+    raw = load_yaml(path, "config")
     if not isinstance(raw, dict):
         raise DomainError(f"config root must be a mapping, got {type(raw).__name__}")
     unknown = set(raw) - _ALLOWED_KEYS

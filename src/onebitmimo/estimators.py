@@ -10,7 +10,7 @@ Two families:
   Pr(r) is the orthant probability P(S), and E[x | x > 0], from which the
   posterior mean follows linearly, reduces to orthant probabilities of
   dimension one lower (Tallis 1961); coupled blocks of S of size at most
-  three are solved exactly by arcsine closed forms.
+  MAX_CLOSED_DIM = 3 are solved exactly by arcsine closed forms.
 
 The two coincide exactly when the precision matrix C = S^{-1}/2 carries at
 most one off-diagonal coupling per row.  C and S share their coupled
@@ -29,10 +29,10 @@ r -> j r, which maps each block onto a block, gives h_hat(j r) =
 j h_hat(r) and Pr(j r) = Pr(r).  A block B that the rotation maps onto
 itself (complex Omega) thus needs at most 2^(|B|-2) solves, and a pair
 of blocks mapped onto each other (the real-part and imaginary-part blocks
-of a real Omega) at most 2^(|B|-1) between them.  The rows of a block
-of at most three coordinates are all filled in closed form when the
-tables are built; larger blocks are solved row by row as evaluations
-first need them.
+of a real Omega) at most 2^(|B|-1) between them.  A row is solved only
+when an evaluation first needs it or its rotation: the rows a block of at
+most three coordinates is missing in one stacked closed-form call, those
+of a larger block one by one.
 """
 
 import math
@@ -45,9 +45,10 @@ from .model import build_pilot_model, hermitian_inverse, real_form, second_order
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_REL_TOL,
+    MAX_CLOSED_DIM,
     MAX_QMC_DIM,
-    _closed_mean,
     _coupling_components,
+    _mean_single_block,
     positive_orthant_mean,
 )
 from .quantizer import arcsine_matrix
@@ -172,19 +173,19 @@ def _sign_tables(stats, model, rel_tol, seed=0):
 
     evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
     (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
-    block has at most three coordinates; a block beyond MAX_QMC_DIM raises
-    CapabilityError here, before any solve.  Block j keeps 2^(|B|-1) rows,
-    indexed by its signs folded by the sign of its first coordinate; a row
-    holds its share of h_hat, its truncated mean lifted by
-    sigma_ch A^H Omega^{-1}, next to P_B.  The rotation r -> j r pairs each
-    row with a row of the same or another block, never with itself.  The
-    smaller (block, row) of each pair is solved as positive_orthant_mean
-    solves block j of S: on a block of at most three coordinates here, all
-    such rows of the block in one _closed_mean call; on a larger block the
-    first time an evaluation hits either row of the pair, at seed + 1000 j.
-    The other row is filled with j times its share, sign-folded, and the
-    same P_B.  So the tables do not depend on the fill order, and
-    h_hat(j r) = j h_hat(r) holds bit for bit.
+    block has at most MAX_CLOSED_DIM coordinates; a block beyond
+    MAX_QMC_DIM raises CapabilityError here, before any solve.  Block j
+    keeps 2^(|B|-1) rows, indexed by its signs folded by the sign of its
+    first coordinate; a row holds its share of h_hat, its truncated mean
+    lifted by sigma_ch A^H Omega^{-1}, next to P_B.  The rotation
+    r -> j r pairs each row with a row of the same or another block, never
+    with itself.  Each evaluation solves the rows it needs that are not yet
+    filled: the smaller (block, row) of each pair, as positive_orthant_mean
+    solves block j of S, all of a block's in one stacked _mean_single_block
+    call when the block is closed-form, one by one at seed + 1000 j when it
+    is larger.  The other row of the pair is filled with j times its share,
+    sign-folded, and the same P_B.  So the tables do not depend on the fill
+    order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
     cov = 0.5 * real_form(stats.omega_b)
@@ -207,17 +208,15 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     probs = [np.empty(len(share)) for share in shares]
     filled = [np.zeros(len(share), dtype=bool) for share in shares]
 
-    def unfold(j, row):
-        # signs over all 2t coordinates: row `row` (or each of an array of
-        # rows) on block j, +1 elsewhere
+    def unfold(j, rows):
+        # signs over all 2t coordinates: each of the rows on block j, +1 elsewhere
         comp = blocks[j]
-        row = np.asarray(row)
-        signs = np.ones(row.shape + (2 * t,))
-        signs[..., comp[1:]] = 1.0 - 2.0 * ((row[..., None] >> np.arange(len(comp) - 1)) & 1)
+        signs = np.ones((len(rows), 2 * t))
+        signs[:, comp[1:]] = 1.0 - 2.0 * ((rows[:, None] >> np.arange(len(comp) - 1)) & 1)
         return signs
 
     def fold(signs):
-        # per block of (..., 2t) signs: the row, folded by the first
+        # per block of (n, 2t) signs: the row, folded by the first
         # coordinate's sign, and that sign's bit
         bits = (signs < 0) @ weights
         first = bits & 1
@@ -225,51 +224,44 @@ def _sign_tables(stats, model, rel_tol, seed=0):
 
     # r -> j r takes (Re, Im) signs to (-Im, Re): row `row` of block j lands
     # on row image[j][row] of block partner[j], whose share is flip[j][row]
-    # j times this one
+    # j times this one; own[j][row] says the pair's smaller (block, row) is
+    # (j, row), the one that is solved
     partner = [int(block_of[(comp[0] + t) % (2 * t)]) for comp in blocks]
-    image, flip = [], []
+    image, flip, own = [], [], []
     for j, share in enumerate(shares):
-        signs = unfold(j, np.arange(len(share)))
-        rows, first = fold(np.concatenate([-signs[:, t:], signs[:, :t]], axis=1))
-        image.append(rows[:, partner[j]])
+        rows = np.arange(len(share))
+        signs = unfold(j, rows)
+        jr_rows, first = fold(np.concatenate([-signs[:, t:], signs[:, :t]], axis=1))
+        image.append(jr_rows[:, partner[j]])
         flip.append(1.0 - 2.0 * first[:, partner[j]])
+        own.append((j < partner[j]) | ((j == partner[j]) & (rows < image[j])))
 
-    def sign_folded(j, row):
-        # row `row` (or each of an array of rows) of block j as signs, and
-        # the block's covariance folded by them
+    def solve(j, rows):
+        # solve the own row of each rotation pair the rows of block j belong
+        # to, lift each truncated mean to its share and fill both rows
+        rows = np.unique(np.where(own[j][rows], rows, image[j][rows]))
+        j = min(j, partner[j])
         comp = blocks[j]
-        signs = unfold(j, row)
-        return signs, signs[..., comp, None] * cov[np.ix_(comp, comp)] * signs[..., None, comp]
-
-    def fill(j, row, signs, block_mean, prob):
-        # lift a solved row's truncated mean to its share; derive its pair's row
-        mean = np.zeros(2 * t)
-        mean[blocks[j]] = block_mean
-        folded = signs[:t] * mean[:t] + 1j * signs[t:] * mean[t:]
-        shares[j][row] = stats.sigma_ch @ (model.kron_matrix.conj().T @ (stats.omega_inv @ folded))
-        probs[j][row] = prob
-        jr, jr_row = partner[j], image[j][row]
-        shares[jr][jr_row] = flip[j][row] * 1j * shares[j][row]
-        probs[jr][jr_row] = prob
-        filled[j][row] = filled[jr][jr_row] = True
-
-    def solve(j, row):
-        # solve the smaller (block, row) of the rotation pair, fill both
-        j, row = min((j, row), (partner[j], int(image[j][row])))
-        signs, sub = sign_folded(j, row)
-        res = positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
-        fill(j, row, signs, res.mean, res.prob)
-
-    # every row of a closed block now: the smaller (block, row) of each
-    # rotation pair, in one _closed_mean call per block
-    for j, comp in enumerate(blocks):
-        rows = np.arange(len(shares[j]))
-        rows = rows[(j < partner[j]) | ((j == partner[j]) & (rows < image[j]))]
-        if len(comp) <= 3 and len(rows):
-            signs, subs = sign_folded(j, rows)
-            means, block_probs = _closed_mean(subs)
-            for row, row_signs, block_mean, prob in zip(rows, signs, means, block_probs):
-                fill(j, row, row_signs, block_mean, prob)
+        signs = unfold(j, rows)
+        subs = signs[:, comp, None] * cov[np.ix_(comp, comp)] * signs[:, None, comp]
+        if len(comp) <= MAX_CLOSED_DIM:
+            block_means, block_probs = _mean_single_block(subs)
+        else:
+            solved = [positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
+                      for sub in subs]
+            block_means = [res.mean for res in solved]
+            block_probs = [res.prob for res in solved]
+        means = np.zeros((len(rows), 2 * t))
+        means[:, comp] = block_means
+        folded = signs[:, :t] * means[:, :t] + 1j * signs[:, t:] * means[:, t:]
+        for row, row_folded, prob in zip(rows, folded, block_probs):
+            shares[j][row] = stats.sigma_ch @ (
+                model.kron_matrix.conj().T @ (stats.omega_inv @ row_folded))
+            probs[j][row] = prob
+            jr, jr_row = partner[j], image[j][row]
+            shares[jr][jr_row] = flip[j][row] * 1j * shares[j][row]
+            probs[jr][jr_row] = prob
+            filled[j][row] = filled[jr][jr_row] = True
 
     def evaluate(r_real, r_imag):
         rows, first = fold(np.concatenate([r_real, r_imag], axis=1))
@@ -277,11 +269,11 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         pr = np.ones(r_real.shape[0])
         for j in range(len(blocks)):
             idx = rows[:, j]
-            for row in np.unique(idx[~filled[j][idx]]):
-                if not filled[j][row]:
-                    solve(j, int(row))
+            missing = idx[~filled[j][idx]]
+            if len(missing):
+                solve(j, missing)
             h_hat += (1.0 - 2.0 * first[:, j])[:, None] * shares[j][idx]
             pr *= probs[j][idx]
         return h_hat, pr
 
-    return evaluate, largest <= 3
+    return evaluate, largest <= MAX_CLOSED_DIM

@@ -8,7 +8,7 @@ and the truncated mean E[u | u > 0]; the estimator takes psi to be the
 covariance S of the sign-folded observation.  Each coupled block of psi
 takes one of three routes:
 
-* up to dimension 3, the exact arcsine closed forms;
+* up to dimension MAX_CLOSED_DIM = 3, the exact arcsine closed forms;
 * in dimensions 4 and 5, Plackett's (1954) identity, which writes P as
   2^-n plus one-dimensional integrals of the closed form of dimension
   n - 2, taken by a Gauss-Kronrod rule whose embedded Gauss rule gives
@@ -25,9 +25,10 @@ takes one of three routes:
 
 The truncated mean is reduced to a vector of one-dimension-lower orthant
 probabilities of conditional covariances (Tallis 1961), so it inherits
-whichever route those take.  On a block of at most three coordinates that
-whole reduction is one closed form, which runs on a stack of blocks at
-once and gives each block the bits it would get alone.
+whichever route those take.  One routine applies that reduction: on blocks
+of at most MAX_CLOSED_DIM coordinates it runs on a whole stack of them at
+once, every probability a closed form, and gives each block the bits it
+would get alone.
 """
 
 import math
@@ -51,6 +52,9 @@ from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_SAMPLES = 10_000_000
 
+# Largest coupled block whose orthant probability has an arcsine closed form.
+MAX_CLOSED_DIM = 3
+
 # Largest dimension the quasi-random integrator will attempt.  Block-diagonal
 # inputs are split first, so only the largest coupled block counts.
 MAX_QMC_DIM = 16
@@ -67,7 +71,7 @@ _MAX_CALL_POINTS = 2**16
 
 # Largest coupled block whose orthant probability is integrated by Plackett's
 # identity, one dimension of quadrature over closed forms of dimension n - 2.
-_MAX_PLACKETT_DIM = 5
+_MAX_PLACKETT_DIM = MAX_CLOSED_DIM + 2
 # Most equal panels the quadrature splits each integral into before it
 # hands the block to the quasi-random integrator.
 _PLACKETT_PANELS = 8
@@ -132,33 +136,21 @@ def standardize(psi):
     return corr
 
 
-def _closed_orthant(corr):
-    """Exact orthant probabilities of a (..., L, L) stack of standardized
-    covariances, L <= 3: 2^-L plus the sum of the arcsines of the
+def _closed_orthant(cov):
+    """Exact orthant probabilities of a (..., L, L) stack of covariances,
+    L <= MAX_CLOSED_DIM: 2^-L plus the sum of the arcsines of the
     correlations over 2^(L-1) pi, so L = 0 gives 1 and L = 1 gives 1/2.
-    Only the correlations above the diagonal are read."""
-    n = corr.shape[-1]
-    if n > 3:
+    Each step is elementwise or a sum over the last axis, so a matrix gets
+    the same bits in a stack as alone; a unit diagonal divides out exactly."""
+    n = cov.shape[-1]
+    if n > MAX_CLOSED_DIM:
         raise DimensionError(f"no closed form for dimension {n}")
     # the pairs (0, 1), (0, 2), (1, 2) above the diagonal, in that order
     pairs = n * (n - 1) // 2
-    s = arcsin_clamped(corr[..., [0, 0, 1][:pairs], [1, 2, 2][:pairs]]).sum(-1)
+    i, j = [0, 0, 1][:pairs], [1, 2, 2][:pairs]
+    scale = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    s = arcsin_clamped(cov[..., i, j] / (scale[..., i] * scale[..., j])).sum(-1)
     return 0.5**n + s / (2.0 ** (n - 1) * np.pi)
-
-
-def _closed_mean(psi):
-    """(E[u | u > 0], P(u > 0)) of u ~ N(0, psi) for each matrix of a
-    (..., L, L) stack of covariances, L <= 3: Tallis (1961) on the arcsine
-    closed forms.  Every step is elementwise or a sum over the last axis,
-    so each matrix gets the same bits in a stack as alone."""
-    def orthant(m):
-        scale = np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
-        return _closed_orthant(m / (scale[..., :, None] * scale[..., None, :]))
-
-    w = orthant(_conditional_covariances(psi))
-    w /= np.sqrt(2.0 * np.pi * np.diagonal(psi, axis1=-2, axis2=-1))
-    prob = orthant(psi)
-    return (psi * w[..., None, :]).sum(-1) / prob[..., None], prob
 
 
 def _coupling_graph(m):
@@ -228,9 +220,7 @@ def _plackett_orthant(corr, rel_tol):
         tt = t[..., None, None]
         cond = (tt * off + eye
                 - tt * tt * (same - s[..., None, None] * cross) / cos2[..., None, None])
-        scale = np.sqrt(np.diagonal(cond, axis1=-2, axis2=-1))
-        f = _closed_orthant(cond / (scale[..., :, None] * scale[..., None, :]))
-        f = f.reshape(panels, len(_NODES), len(rho)) / panels
+        f = _closed_orthant(cond).reshape(panels, len(_NODES), len(rho)) / panels
         kronrod = np.tensordot(_KRONROD_WEIGHTS, f, axes=(0, 1))
         gap = np.abs(kronrod - np.tensordot(_GAUSS_WEIGHTS, f, axes=(0, 1))).sum(0)
         est = 0.5**n + float(end @ kronrod.sum(0)) / (2.0 * np.pi)
@@ -411,8 +401,8 @@ def _integrand(chol, pts):
 
 def _check_stream_keys(first, last):
     """DomainError unless the integrator seeds first..last can key Philox
-    streams; checked for every block of 4 or more coordinates, whether
-    quadrature or the lattice then serves it."""
+    streams; checked for every block beyond MAX_CLOSED_DIM coordinates,
+    whether quadrature or the lattice then serves it."""
     if first < 0 or last >= 2**64:
         raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
 
@@ -421,10 +411,10 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
                         seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
-    Uncoupled blocks are split off first; blocks of dimension 1..3 use the
-    arcsine closed forms exactly.  Blocks of dimension 4 and 5 take
-    Plackett's identity by quadrature (see _plackett_orthant), and fall
-    back to the quasi-random integrator at the same seed when its error
+    Uncoupled blocks are split off first; blocks of up to MAX_CLOSED_DIM
+    coordinates use the arcsine closed forms exactly.  Blocks of dimension
+    4 and 5 take Plackett's identity by quadrature (see _plackett_orthant),
+    and fall back to the quasi-random integrator at the same seed when its error
     estimate on _PLACKETT_PANELS panels still exceeds rel_tol times the
     value; larger blocks go to the quasi-random integrator directly, at
     relative tolerance rel_tol, which must lie in (0, 1).
@@ -434,12 +424,12 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
     check_rel_tol(rel_tol)
     corr = standardize(psi)
     blocks = _coupling_components(corr)
-    if max(len(comp) for comp in blocks) > 3:
+    if max(len(comp) for comp in blocks) > MAX_CLOSED_DIM:
         _check_stream_keys(seed, seed)
     prob = 1.0
     for comp in blocks:
         sub = corr[np.ix_(comp, comp)]
-        if len(comp) <= 3:
+        if len(comp) <= MAX_CLOSED_DIM:
             p = _closed_orthant(sub)
         else:
             p, err = (_plackett_orthant(sub, rel_tol) if len(comp) <= _MAX_PLACKETT_DIM
@@ -476,16 +466,23 @@ def _conditional_covariances(psi):
             - f[..., :, :, None] * f[..., :, None, :] / diag[..., :, None, None])
 
 
-def _mean_single_block(psi, rel_tol, max_samples, seed):
-    """(E[u | u > 0], P(u > 0)) of one coupled block by Tallis (1961)."""
-    n = psi.shape[0]
-    if n <= 3:
-        return _closed_mean(psi)
-    kwargs = dict(rel_tol=rel_tol, max_samples=max_samples)
-    prob = orthant_probability(psi, seed=seed, **kwargs)
-    g = [orthant_probability(cond, seed=seed + k + 1, **kwargs)
-         for k, cond in enumerate(_conditional_covariances(psi))]
-    return psi @ (g / np.sqrt(2.0 * np.pi * psi.diagonal())) / prob, prob
+def _mean_single_block(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
+                       seed=0):
+    """(E[u | u > 0], P(u > 0)) by Tallis (see positive_orthant_mean) for
+    each matrix of a (..., L, L) stack of coupled blocks, L <= MAX_CLOSED_DIM,
+    every probability a closed form and each matrix's bits those it gets
+    alone; or for one larger coupled block, P(psi) integrated at seed and
+    P(psi_k) at seed + k + 1."""
+    conds = _conditional_covariances(psi)
+    if psi.shape[-1] <= MAX_CLOSED_DIM:
+        prob, g = _closed_orthant(psi), _closed_orthant(conds)
+    else:
+        kwargs = dict(rel_tol=rel_tol, max_samples=max_samples)
+        prob = orthant_probability(psi, seed=seed, **kwargs)
+        g = np.array([orthant_probability(cond, seed=seed + k + 1, **kwargs)
+                      for k, cond in enumerate(conds)])
+    w = g / np.sqrt(2.0 * np.pi * np.diagonal(psi, axis1=-2, axis2=-1))
+    return (psi * w[..., None, :]).sum(-1) / np.expand_dims(prob, -1), prob
 
 
 def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
@@ -507,15 +504,14 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     psi = _validate_spd(psi, "psi")
     blocks = _coupling_components(psi)
     for j, comp in enumerate(blocks):
-        if len(comp) > 3:
+        if len(comp) > MAX_CLOSED_DIM:
             _check_stream_keys(seed + 1000 * j, seed + 1000 * j + len(comp))
     mean = np.empty(psi.shape[0])
     prob = 1.0
-    closed = True
     for j, comp in enumerate(blocks):
         sub = psi[np.ix_(comp, comp)]
         mean[comp], p = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j)
         prob *= p
-        closed = closed and len(comp) <= 3
+    closed = max(len(comp) for comp in blocks) <= MAX_CLOSED_DIM
     return TruncatedMeanResult(mean=mean, prob=prob,
                                method="closed-form" if closed else "reduction")

@@ -28,6 +28,7 @@ from .estimators import (
     _sign_tables,
     blmmse_operator,
     mmse_estimate,  # not called here: perfbench/tracing.py wraps simulate.mmse_estimate
+    mmse_linear_operator,
     simo3_closed_batch,  # not called here: perfbench/tracing.py wraps simulate.simo3_closed_batch
     tx_covariance,
 )
@@ -40,7 +41,6 @@ from .model import (
     sample_realizations,
     second_order_stats,
 )
-from .optimality import is_blmmse_optimal
 from .orthant import DEFAULT_REL_TOL, check_rel_tol
 from .quantizer import sgn
 
@@ -264,28 +264,25 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
 def _resolve_estimators(names, stats, model, rel_tol):
     """Turn estimator names into batch evaluators (r_real, r_imag) -> h_hat.
 
-    Two paths: blmmse, and mmse where it is exactly linear (see
-    is_blmmse_optimal), apply the linear map W of blmmse_operator, built
-    once per point for both; every other mmse point reads the per-block
-    sign tables that mmse_estimate reads one row of
-    (estimators._sign_tables).  Those rest on the odd symmetry of each
-    coupled block B of S and on the rotation r -> j r: at most 2^(|B|-2)
-    solves for a block the rotation maps onto itself, and 2^(|B|-1) for
-    each pair of blocks it maps onto each other; blocks of at most three
-    coordinates are solved in closed form as the tables are built.
+    Two paths: blmmse, and mmse where it is exactly linear, apply one
+    linear map W per point: mmse_linear_operator's when mmse is asked for
+    and linear, else blmmse_operator's, built only when blmmse needs it;
+    every other mmse point reads the per-block sign tables that
+    mmse_estimate reads one row of (estimators._sign_tables).  Those rest
+    on the odd symmetry of each coupled block B of S and on the rotation
+    r -> j r: at most 2^(|B|-2) solves for a block the rotation maps onto
+    itself, and 2^(|B|-1) for each pair of blocks it maps onto each other,
+    each row solved the first time a trial needs it or its rotation.
     """
-    mmse_linear = "mmse" in names and is_blmmse_optimal(stats).optimal
-    if "blmmse" in names or mmse_linear:
-        w = blmmse_operator(stats, model)
-        linear = lambda rr, ri: (rr + 1j * ri) @ w.T
+    w = mmse_linear_operator(stats, model) if "mmse" in names else None
     evals = {}
-    for name in names:
-        if name == "blmmse" or mmse_linear:
-            evals[name] = linear
-        else:
-            evaluate, _ = _sign_tables(stats, model, rel_tol)
-            evals[name] = lambda rr, ri: evaluate(rr, ri)[0]
-    return evals
+    if "mmse" in names and w is None:
+        evaluate, _ = _sign_tables(stats, model, rel_tol)
+        evals["mmse"] = lambda rr, ri: evaluate(rr, ri)[0]
+    if "blmmse" in names and w is None:
+        w = blmmse_operator(stats, model)
+    linear = lambda rr, ri: (rr + 1j * ri) @ w.T
+    return {name: evals.get(name, linear) for name in names}
 
 
 def build_point(config, snr_db):

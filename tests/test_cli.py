@@ -1,5 +1,8 @@
 """Command line interface, driven through main(argv)."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,17 @@ seed: 5
 """
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+# sha256 of the CSV each shipped config writes; a change that moves any
+# byte of these sweeps has to say so here
+SHIPPED_CSV_SHA256 = {
+    "scalar": "c42381fd5007277dab79bd8013e3115d8623d334e5fed165ef6649d827da57d7",
+    "receive_correlated": "f4f37e9c8d7ef78205fdea29f558c5c49f09d2d8a0a9cb60c8e93a7d24744256",
+    "transmit_correlated": "160f641d6717d24e0fe71f0a41ba42573ea1ce099ad4e3d437b5bad60a3e1c6e",
+}
+
+
 def write(tmp_path, text, name):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -45,6 +59,14 @@ def test_simulate_writes_csv(tmp_path, capsys):
     out2 = tmp_path / "sweep2.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CSV_SHA256))
+def test_shipped_configs_keep_their_csv_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    cfg = os.path.join(CONFIGS, f"{name}.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[name]
 
 
 def test_estimate_sampled_observation(tmp_path, capsys):
@@ -150,3 +172,20 @@ def test_bad_observation_reports_error(tmp_path, capsys):
     obs = write(tmp_path, "r_real: [1, 0.5]\nr_imag: [1, 1]\n", "obs.yaml")
     assert main(["estimate", "--config", cfg, "--obs", obs]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_config_yaml_reports_error(tmp_path, capsys):
+    cfg = write(tmp_path, "dims: {n_tx: 1, n_rx: 1\n", "truncated.yaml")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "truncated.yaml" in err
+
+
+def test_malformed_observation_yaml_reports_error(tmp_path, capsys):
+    cfg = write(tmp_path, SCALAR_CFG, "cfg.yaml")
+    obs = write(tmp_path, "r_real: [1, -1\n", "truncated_obs.yaml")
+    assert main(["estimate", "--config", cfg, "--obs", obs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "truncated_obs.yaml" in err

@@ -31,9 +31,9 @@ from onebitmimo.orthant import (
     _N_SHIFTS,
     DEFAULT_MAX_SAMPLES,
     MAX_QMC_DIM,
-    _closed_mean,
     _closed_orthant,
     _coupling_components,
+    _mean_single_block,
     _plackett_orthant,
     _qmc_orthant,
     arcsin_clamped,
@@ -111,11 +111,11 @@ def test_closed_forms_give_each_matrix_of_a_stack_its_own_bits():
         psi = a @ np.swapaxes(a, -1, -2) + 0.05 * np.eye(n)
         scale = np.sqrt(np.diagonal(psi, axis1=-2, axis2=-1))
         corr = psi / (scale[..., :, None] * scale[..., None, :])
-        mean, prob = _closed_mean(psi)
+        mean, prob = _mean_single_block(psi)
         probs = _closed_orthant(corr)
         assert mean.shape == (2, 40, n) and prob.shape == probs.shape == (2, 40)
         for idx in np.ndindex(2, 40):
-            alone_mean, alone_prob = _closed_mean(psi[idx])
+            alone_mean, alone_prob = _mean_single_block(psi[idx])
             assert np.array_equal(alone_mean, mean[idx])
             assert alone_prob == prob[idx]
             assert _closed_orthant(corr[idx]) == probs[idx]

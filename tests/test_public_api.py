@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "run_mse_sweep",
     "sample_realizations",
     "second_order_stats",
-    "simo3_closed_batch",
     "standardize",
 ]
 

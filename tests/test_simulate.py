@@ -496,6 +496,49 @@ def test_sign_tables_solve_each_block_pattern_once(monkeypatch):
         assert 0 < len(calls) <= 8
 
 
+def _count_closed_rows(monkeypatch):
+    # the sign-folded blocks the tables hand to the stacked closed form
+    rows = []
+    solve = estimators._mean_single_block
+
+    def counted(psi, *args, **kwargs):
+        rows.extend(m.tobytes() for m in psi.reshape(-1, *psi.shape[-2:]))
+        return solve(psi, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_mean_single_block", counted)
+    return rows
+
+
+def _closed_simo3_config():
+    # a real 1x3 point: two closed 3-blocks the rotation maps onto each other
+    cfg = load_sweep_config(os.path.join(CONFIGS, "receive_correlated.yaml"))
+    return dataclasses.replace(cfg, snr_grid_db=(20.0,), estimators=("mmse",), trials=2_000)
+
+
+def test_closed_estimate_solves_only_its_own_rows(monkeypatch):
+    # Im r = -Re r puts both blocks on one rotation pair: one row is solved,
+    # not the table's 4; independent signs need one row per block
+    rows = _count_closed_rows(monkeypatch)
+    stats, model = build_point(_closed_simo3_config(), 20.0)
+    r_real = np.array([1.0, -1.0, 1.0])
+    for r_imag, solved in ((-r_real, 1), (np.array([1.0, 1.0, -1.0]), 2)):
+        rows.clear()
+        est = estimators.mmse_estimate(stats, model, observation_from_signs(r_real, r_imag))
+        assert est.estimator == "mmse-closed"
+        assert len(rows) == solved
+
+
+def test_closed_sweep_solves_each_own_row_at_most_once(monkeypatch):
+    rows = _count_closed_rows(monkeypatch)
+    # the real-part block's 4 rows are the own rows; the imaginary-part
+    # block's are their rotations
+    for chunk in (simulate._CHUNK, 7):
+        rows.clear()
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        run_mse_sweep(_closed_simo3_config())
+        assert 0 < len(rows) == len(set(rows)) <= 4
+
+
 def test_sign_tables_fill_order_leaves_rows_unchanged(monkeypatch):
     cfg = general_sweep_config(trials=500)
     baseline = run_mse_sweep(cfg)
