@@ -122,7 +122,9 @@ def _load_matrix(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=config_mod.UniqueKeyLoader)
+    except yaml.constructor.ConstructorError as exc:
+        raise DomainError(f"matrix file {path} is not valid YAML: {exc}") from exc
     except yaml.YAMLError:
         raw = None
     if isinstance(raw, dict) and "matrix" in raw:

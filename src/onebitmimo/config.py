@@ -27,11 +27,25 @@ _ALLOWED_KEYS = {
 _DIM_KEYS = {"n_tx", "n_rx", "n_pilots"}
 
 
+class UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a mapping key given twice."""
+
+    def construct_mapping(self, node, deep=False):
+        # merge keys and collection keys are left to the base class
+        keys = [self.construct_object(k) for k, _ in node.value
+                if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge"]
+        for at, key in enumerate(keys):
+            if key in keys[:at]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", node.start_mark)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_yaml(path, what):
     """Parsed contents of a YAML file; DomainError naming it if it does not parse."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise DomainError(f"{what} {path} is not valid YAML: {exc}") from exc
 

@@ -49,6 +49,7 @@ from .orthant import (
     MAX_QMC_DIM,
     _coupling_components,
     _mean_single_block,
+    check_rel_tol,
     positive_orthant_mean,
 )
 from .quantizer import arcsine_matrix
@@ -173,8 +174,9 @@ def _sign_tables(stats, model, rel_tol, seed=0):
 
     evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
     (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
-    block has at most MAX_CLOSED_DIM coordinates; a block beyond
-    MAX_QMC_DIM raises CapabilityError here, before any solve.  Block j
+    block has at most MAX_CLOSED_DIM coordinates.  rel_tol is checked here,
+    even where no integrator runs, and a block beyond MAX_QMC_DIM raises
+    CapabilityError here, before any solve.  Block j
     keeps 2^(|B|-1) rows, indexed by its signs folded by the sign of its
     first coordinate; a row holds its share of h_hat, its truncated mean
     lifted by sigma_ch A^H Omega^{-1}, next to P_B.  The rotation
@@ -187,6 +189,7 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     sign-folded, and the same P_B.  So the tables do not depend on the fill
     order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
+    check_rel_tol(rel_tol)
     t = stats.omega_b.shape[0]
     cov = 0.5 * real_form(stats.omega_b)
     blocks = _coupling_components(cov)

@@ -30,8 +30,8 @@ class CapabilityError(RuntimeError):
 
 
 class AccuracyError(RuntimeError):
-    """A numeric routine hit its sample budget before reaching the requested
-    accuracy.  Carries the best estimate achieved so far."""
+    """A numeric routine spent its sample or panel budget before reaching the
+    requested accuracy.  Carries the best estimate achieved so far."""
 
     def __init__(self, message, estimate=None, error_estimate=None):
         super().__init__(message)

@@ -6,14 +6,13 @@ Two quantities drive the optimal estimator: the orthant probability
 
 and the truncated mean E[u | u > 0]; the estimator takes psi to be the
 covariance S of the sign-folded observation.  Each coupled block of psi
-takes one of three routes:
+takes one of three routes, none falling back on another:
 
 * up to dimension MAX_CLOSED_DIM = 3, the exact arcsine closed forms;
 * in dimensions 4 and 5, Plackett's (1954) identity, which writes P as
   2^-n plus one-dimensional integrals of the closed form of dimension
-  n - 2, taken by a Gauss-Kronrod rule whose embedded Gauss rule gives
-  an error estimate; a block whose estimate misses the tolerance goes to
-  the lattice below at the same seed;
+  n - 2, taken by globally adaptive Gauss-Kronrod bisection whose
+  embedded Gauss rule gives the error estimate;
 * beyond that, the Genz-Bretz method: the Cholesky factor is built with
   variable reordering (the least likely coordinate conditioned first),
   and the sequential-conditioning integrand is averaged over randomly
@@ -72,9 +71,8 @@ _MAX_CALL_POINTS = 2**16
 # Largest coupled block whose orthant probability is integrated by Plackett's
 # identity, one dimension of quadrature over closed forms of dimension n - 2.
 _MAX_PLACKETT_DIM = MAX_CLOSED_DIM + 2
-# Most equal panels the quadrature splits each integral into before it
-# hands the block to the quasi-random integrator.
-_PLACKETT_PANELS = 8
+# Most panels the quadrature splits a block's integrals into, over all pairs.
+_PLACKETT_PANELS = 1000
 
 # The 15-point Gauss-Kronrod rule and its embedded 7-point Gauss rule
 # (QUADPACK qk15, Piessens et al. 1983), moved from [-1, 1] to [0, 1]:
@@ -195,10 +193,10 @@ def _plackett_orthant(corr, rel_tol):
 
     The path is a convex combination of I and R, so it stays positive
     definite, and P_{n-2} is the arcsine closed form.  Each pair's integral
-    takes the 15-point Kronrod rule on 1, 2, 4, ... equal panels, every node
-    and pair in one pass, until the error estimate, the summed gap to the
-    embedded 7-point Gauss rule, is at most rel_tol times the estimate or
-    _PLACKETT_PANELS panels are spent.
+    starts as one panel of the 15-point Kronrod rule, whose gap to the
+    embedded 7-point Gauss rule is the panel's error estimate; panels are
+    bisected globally adaptively (QUADPACK) until the summed gap is at most
+    rel_tol times the estimate, else AccuracyError past _PLACKETT_PANELS.
     """
     n = corr.shape[0]
     i, j, others = _pair_indices(n)
@@ -211,23 +209,36 @@ def _plackett_orthant(corr, rel_tol):
     same, cross = outer(a, a) + outer(b, b), outer(a, b) + outer(b, a)
     eye = np.eye(n - 2)
     off = corr[others[:, :, None], others[:, None, :]] * (1.0 - eye)
-    panels = 1
+    # each panel's pair, left end and width on the unit interval that
+    # u / arcsin R_ij runs over; kronrod and gap hold the leading panels' sums
+    pair, left, width = np.arange(len(rho)), np.zeros(len(rho)), np.ones(len(rho))
+    kronrod = gap = np.empty(0)
     while True:
-        nodes = ((np.arange(panels)[:, None] + _NODES) / panels).ravel()
-        u = end * nodes[:, None]
-        s, cos2 = np.sin(u), np.cos(u) ** 2
-        t = np.divide(s, rho, out=np.zeros_like(s), where=rho != 0.0)
-        tt = t[..., None, None]
-        cond = (tt * off + eye
-                - tt * tt * (same - s[..., None, None] * cross) / cos2[..., None, None])
-        f = _closed_orthant(cond).reshape(panels, len(_NODES), len(rho)) / panels
-        kronrod = np.tensordot(_KRONROD_WEIGHTS, f, axes=(0, 1))
-        gap = np.abs(kronrod - np.tensordot(_GAUSS_WEIGHTS, f, axes=(0, 1))).sum(0)
-        est = 0.5**n + float(end @ kronrod.sum(0)) / (2.0 * np.pi)
-        err = float(np.abs(end) @ gap) / (2.0 * np.pi)
-        if err <= rel_tol * est or panels == _PLACKETT_PANELS:
+        p, h = pair[len(kronrod):], width[len(kronrod):]
+        u = (end[p] * (left[len(kronrod):] + h * _NODES[:, None]))[..., None, None]
+        s, cos2, r = np.sin(u), np.cos(u) ** 2, rho[p, None, None]
+        t = np.divide(s, r, out=np.zeros_like(s), where=r != 0.0)
+        f = _closed_orthant(t * off[p] + eye - t * t * (same[p] - s * cross[p]) / cos2)
+        k = h * np.tensordot(_KRONROD_WEIGHTS, f, axes=(0, 0))
+        gap = np.concatenate([gap, np.abs(k - h * np.tensordot(_GAUSS_WEIGHTS, f, axes=(0, 0)))])
+        kronrod = np.concatenate([kronrod, k])
+        est = 0.5**n + float(end @ np.bincount(pair, kronrod, len(rho))) / (2.0 * np.pi)
+        err = float(np.abs(end[pair]) @ gap) / (2.0 * np.pi)
+        if err <= rel_tol * est:
             return est, err
-        panels *= 2
+        # halve the worst panel and every panel above an even share of rel_tol
+        panel_err = np.abs(end[pair]) * gap / (2.0 * np.pi)
+        split = panel_err > rel_tol * est / len(pair)
+        split[np.argmax(panel_err)] = True
+        if len(pair) + np.count_nonzero(split) > _PLACKETT_PANELS:
+            raise AccuracyError(f"quadrature needs over {_PLACKETT_PANELS} panels for relative "
+                                f"tolerance {rel_tol:g} (estimate {est:.6e}, error {err:.2e})",
+                                estimate=est, error_estimate=err)
+        half = width[split] / 2.0
+        pair = np.concatenate([pair[~split], pair[split], pair[split]])
+        left = np.concatenate([left[~split], left[split], left[split] + half])
+        width = np.concatenate([width[~split], half, half])
+        kronrod, gap = kronrod[~split], gap[~split]
 
 
 def _reordered_cholesky(corr):
@@ -402,7 +413,7 @@ def _integrand(chol, pts):
 def _check_stream_keys(first, last):
     """DomainError unless the integrator seeds first..last can key Philox
     streams; checked for every block beyond MAX_CLOSED_DIM coordinates,
-    whether quadrature or the lattice then serves it."""
+    though only the lattice, not the quadrature, reads a seed."""
     if first < 0 or last >= 2**64:
         raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
 
@@ -411,13 +422,12 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
                         seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
-    Uncoupled blocks are split off first; blocks of up to MAX_CLOSED_DIM
-    coordinates use the arcsine closed forms exactly.  Blocks of dimension
-    4 and 5 take Plackett's identity by quadrature (see _plackett_orthant),
-    and fall back to the quasi-random integrator at the same seed when its error
-    estimate on _PLACKETT_PANELS panels still exceeds rel_tol times the
-    value; larger blocks go to the quasi-random integrator directly, at
-    relative tolerance rel_tol, which must lie in (0, 1).
+    Uncoupled blocks are split off first, and each takes one route by its
+    size: up to MAX_CLOSED_DIM coordinates the arcsine closed forms
+    exactly, 4 and 5 Plackett's identity by adaptive quadrature (see
+    _plackett_orthant), and more the quasi-random integrator at the seed.
+    Both numeric routes work to relative tolerance rel_tol, which must lie
+    in (0, 1), and raise AccuracyError when their budget runs out first.
     The seed must key a Philox stream, 0 <= seed < 2**64, once a block
     has 4 or more coordinates, whichever route serves it.
     """
@@ -430,13 +440,11 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
     for comp in blocks:
         sub = corr[np.ix_(comp, comp)]
         if len(comp) <= MAX_CLOSED_DIM:
-            p = _closed_orthant(sub)
+            prob *= _closed_orthant(sub)
+        elif len(comp) <= _MAX_PLACKETT_DIM:
+            prob *= _plackett_orthant(sub, rel_tol)[0]
         else:
-            p, err = (_plackett_orthant(sub, rel_tol) if len(comp) <= _MAX_PLACKETT_DIM
-                      else (0.0, math.inf))
-            if not err <= rel_tol * p:
-                p = _qmc_orthant(sub, rel_tol, max_samples, seed)[0]
-        prob *= p
+            prob *= _qmc_orthant(sub, rel_tol, max_samples, seed)[0]
     return prob
 
 
@@ -497,8 +505,8 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     block j with seeds offset by 1000 j.  Block j of 4 or more coordinates
     may integrate at seeds seed + 1000 j + k, k = 0..len(block); these key
     Philox streams, so every one of them must lie in [0, 2**64), or
-    DomainError is raised before any block is solved, whether quadrature
-    or the lattice would have served it.
+    DomainError is raised before any block is solved, whichever of
+    orthant_probability's routes would have served it.
     """
     check_rel_tol(rel_tol)
     psi = _validate_spd(psi, "psi")

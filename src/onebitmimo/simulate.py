@@ -5,9 +5,9 @@ the target SNR through snr = trace(S S^H) / (tau N_T noise_var), so the
 SNR axis of a sweep is exact by construction; the per-point pilot energy
 is echoed in the result metadata.  Trial t draws its normals from words
 [t*w, (t+1)*w) of one counter-based Philox stream keyed by the seed (see
-model.sample_realizations), and per-trial squared errors are reduced with
-compensated summation in trial order, so results are bit-identical for any
-batching of the work.
+model.sample_realizations), and per-trial squared errors are summed by
+math.fsum, which is correctly rounded and so independent of their order;
+results are bit-identical for any batching of the work.
 
 Neither the channel draw h nor the noise draw n depends on the SNR, so all
 points of a sweep share each trial's h and n (common random numbers): each
@@ -301,7 +301,7 @@ def run_mse_sweep(config):
     Returns an MseSweepResult with one row per (snr_db, estimator),
     ordered by ascending SNR then estimator name.  Deterministic for a
     fixed config: trials sit at fixed positions of one counter-based
-    stream, and squared errors are summed with compensation in trial order.
+    stream, and squared errors are summed by math.fsum, correctly rounded.
     Every point reads the same h and n for a trial: each chunk is drawn
     once and each point forms its own b = A h + n from the draw, so a
     point's row equals that of a sweep over that point alone.

@@ -182,6 +182,21 @@ def test_malformed_config_yaml_reports_error(tmp_path, capsys):
     assert "truncated.yaml" in err
 
 
+def test_repeated_observation_key_reports_error(tmp_path, capsys):
+    cfg = write(tmp_path, SCALAR_CFG, "cfg.yaml")
+    obs = write(tmp_path, "r_real: [1]\nr_imag: [1]\nr_real: [-1]\n", "twice_obs.yaml")
+    assert main(["estimate", "--config", cfg, "--obs", obs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "twice_obs.yaml" in err and "duplicate key 'r_real'" in err
+
+
+def test_repeated_matrix_key_reports_error(tmp_path, capsys):
+    mat = write(tmp_path, "matrix: [[1.0, 0.5], [0.5, 1.0]]\nmatrix: [[1.0]]\n", "psi.yaml")
+    assert main(["orthant", "--matrix", mat]) == 1
+    assert "duplicate key 'matrix'" in capsys.readouterr().err
+
+
 def test_malformed_observation_yaml_reports_error(tmp_path, capsys):
     cfg = write(tmp_path, SCALAR_CFG, "cfg.yaml")
     obs = write(tmp_path, "r_real: [1, -1\n", "truncated_obs.yaml")

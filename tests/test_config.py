@@ -54,6 +54,19 @@ def test_unknown_key_rejected(tmp_path):
         load_raw(write(tmp_path, GOOD + "bogus: 1\n"))
 
 
+def test_repeated_top_level_key_rejected(tmp_path):
+    # plain YAML loading would keep the last value and run 1000 trials
+    path = write(tmp_path, "trials: 10\n" + GOOD, name="twice.yaml")
+    with pytest.raises(DomainError, match="twice.yaml(.|\n)*duplicate key 'trials'"):
+        load_sweep_config(path)
+
+
+def test_repeated_dims_key_rejected(tmp_path):
+    text = GOOD.replace("{n_tx: 1, n_rx: 2,", "{n_tx: 1, n_rx: 2, n_rx: 3,")
+    with pytest.raises(DomainError, match="duplicate key 'n_rx'"):
+        load_raw(write(tmp_path, text))
+
+
 def test_unknown_spec_kind_rejected_at_load():
     for key in ("covariance", "pilots"):
         raw = dict(yaml.safe_load(GOOD), **{key: {"kind": "bogus"}})

@@ -572,6 +572,15 @@ def test_method_argument_validated():
         mmse_estimate(stats, model, obs, method="bogus")
 
 
+@pytest.mark.parametrize("rel_tol", [5.0, float("nan"), -1.0, 0.0])
+def test_rel_tol_validated_on_closed_points(rel_tol):
+    # no integrator runs on a closed point, so the tables check it themselves
+    stats, model = simo_setup(exponential_covariance(3, 0.6))
+    obs = observation_from_signs(np.ones(3), -np.ones(3))
+    with pytest.raises(DomainError, match="rel_tol"):
+        mmse_estimate(stats, model, obs, rel_tol=rel_tol)
+
+
 def test_mmse_estimate_equals_the_whole_s_oracle():
     # one row of the sign tables against one orthant reduction over the
     # whole of S: closed blocks of sizes 1-3 on every pattern, and a numeric

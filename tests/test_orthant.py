@@ -292,41 +292,64 @@ def test_quadrature_sign_patterns_sum_to_one(monkeypatch, n):
         assert abs(sum(orthant_probability(flip) for flip in flips) - 1.0) < 1e-8
 
 
-def test_near_singular_block_is_accurate_or_falls_back(monkeypatch):
-    # two nearly equal coordinates put max |rho| above 0.9997, where the
-    # rule converges slowly; each block must either hold rel_tol against a
-    # 256-node value or go to the lattice at the same seed, never come back
-    # with an error estimate above rel_tol times the value
-    seed = 3
-    fallbacks = []
-    qmc = orthant._qmc_orthant
-
-    def qmc_spy(corr, tol, max_samples, key):
-        fallbacks.append((tol, key))
-        return qmc(corr, tol, max_samples, key)
-
-    monkeypatch.setattr(orthant, "_qmc_orthant", qmc_spy)
+def near_singular_blocks():
+    """Four 5-blocks with two nearly equal coordinates, max |rho| above
+    0.9997, where the integrand steepens towards the end of a pair's range."""
     rng = np.random.default_rng(17)
-    routes = []
     for _ in range(4):
         a = rng.standard_normal((5, 5))
         a[1] = a[0] + 0.01 * rng.standard_normal(5)
         corr = standardize(a @ a.T)
         assert np.abs(corr - np.eye(5)).max() >= 0.9997
+        yield corr
+
+
+def lattice_calls(monkeypatch):
+    """Log the dimension of every block handed to the lattice integrator."""
+    calls = []
+    qmc = orthant._qmc_orthant
+
+    def qmc_spy(corr, *args):
+        calls.append(corr.shape[0])
+        return qmc(corr, *args)
+
+    monkeypatch.setattr(orthant, "_qmc_orthant", qmc_spy)
+    return calls
+
+
+def test_near_singular_block_stays_on_the_quadrature(monkeypatch):
+    # bisection towards the steep end meets rel_tol in the estimate and
+    # against a many-node reference of the same identity
+    lattice = lattice_calls(monkeypatch)
+    for corr in near_singular_blocks():
         ref = plackett_orthant_reference(corr)
-        for rel_tol in (1e-3, 1e-4):
+        fine_ref = plackett_orthant_reference(corr, nodes=1024)
+        for rel_tol, reference in ((1e-3, ref), (1e-4, ref), (1e-6, fine_ref)):
             est, err = _plackett_orthant(corr, rel_tol)
-            fallbacks.clear()
-            p = orthant_probability(corr, rel_tol=rel_tol, seed=seed)
-            if fallbacks:
-                assert err > rel_tol * est
-                assert fallbacks == [(rel_tol, seed)]
-                routes.append("lattice")
-            else:
-                assert p == est and err <= rel_tol * p
-                assert abs(p - ref) <= rel_tol * ref
-                routes.append("quadrature")
-    assert set(routes) == {"lattice", "quadrature"}
+            p = orthant_probability(corr, rel_tol=rel_tol, seed=3)
+            assert p == est and err <= rel_tol * p
+            assert abs(p - reference) <= rel_tol * reference
+    assert lattice == []
+
+
+def test_spent_panel_budget_raises_accuracy_error(monkeypatch):
+    # a budget of one panel per pair leaves nothing to bisect, and this
+    # block misses rel_tol on one panel per pair
+    lattice = lattice_calls(monkeypatch)
+    monkeypatch.setattr(orthant, "_PLACKETT_PANELS", 10)
+    with pytest.raises(AccuracyError) as info:
+        orthant_probability(next(near_singular_blocks()), rel_tol=1e-4, seed=3)
+    assert info.value.estimate > 0.0
+    assert info.value.error_estimate > 1e-4 * info.value.estimate
+    assert lattice == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_equicorrelated_blocks_meet_a_tight_tolerance(n):
+    for rho in (0.9, 0.99, 0.999, -0.2):
+        psi = equicorrelated(n, rho)
+        ref = plackett_orthant_reference(psi)
+        assert abs(orthant_probability(psi, rel_tol=1e-10) - ref) <= 1e-10 * ref
 
 
 def record_rounds(monkeypatch):

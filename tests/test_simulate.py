@@ -2,6 +2,7 @@
 agreement with the analytic scalar error."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -400,6 +401,48 @@ def real_two_block_config(**overrides):
     # a real covariance splits S into a real-part and an imaginary-part
     # 4-block, both integrated numerically
     return general_sweep_config(n_rx=4, phi=0.0, rho=0.7, **overrides)
+
+
+# sha256 of render_csv of general_sweep_config(seed=s), the numeric path's
+# bytes; a change that moves any of them has to say so here
+GENERAL_SWEEP_CSV_SHA256 = {
+    1: "9cd60c70160819a8ea62cdeae74b242a69baec9bd4f6405a8dec99a421e88ac0",
+    2: "8f5e2d4c8beeb3c5c26a582dd75791f905bc14aa2dd964f6d3554aeb4c465f07",
+    3: "bac8c546ea26cefbe78662f104a47259a4cf53ea54f87c565286f43e065c5a4c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERAL_SWEEP_CSV_SHA256))
+def test_general_sweep_keeps_its_csv_bytes(seed):
+    csv = render_csv(run_mse_sweep(general_sweep_config(seed=seed)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == GENERAL_SWEEP_CSV_SHA256[seed]
+
+
+def test_near_singular_sweep_stays_off_the_lattice(monkeypatch):
+    # receive correlation 0.999 at 40 dB makes near-singular 5-blocks, which
+    # the quadrature bisects towards their steep end instead of handing
+    # them to the lattice integrator
+    calls = []
+    qmc = orthant._qmc_orthant
+
+    def qmc_spy(corr, *args):
+        calls.append(corr.shape[0])
+        return qmc(corr, *args)
+
+    monkeypatch.setattr(orthant, "_qmc_orthant", qmc_spy)
+    cfg = SweepConfig(
+        dims=SystemDims(1, 5, 1),
+        covariance={"kind": "exponential", "rho": 0.999},
+        pilots={"kind": "scalar"},
+        snr_grid_db=(40.0,),
+        estimators=("mmse", "blmmse"),
+        trials=2_000,
+        seed=1,
+        rel_tol=1e-4,
+    )
+    rows = {r.estimator: r for r in run_mse_sweep(cfg).rows}
+    assert calls == []
+    assert rows["mmse"].mse <= rows["blmmse"].mse
 
 
 def _tables_and_oracle(cfg, snr_db):
