@@ -72,10 +72,8 @@ class Estimate:
 
 def _check_obs(stats, obs):
     t = stats.omega_b.shape[0]
-    if obs.r_real.shape != (t,):
-        raise DimensionError(
-            f"observation has length {obs.r_real.shape[0]}, expected {t}"
-        )
+    if obs.r_real.shape != (t,) or obs.r_imag.shape != (t,):
+        raise DimensionError(f"observation has length {obs.r_real.shape[0]}, expected {t}")
 
 
 # ---------------------------------------------------------------------------

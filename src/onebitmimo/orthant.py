@@ -24,10 +24,10 @@ takes one of three routes, none falling back on another:
 
 The truncated mean is reduced to a vector of one-dimension-lower orthant
 probabilities of conditional covariances (Tallis 1961), so it inherits
-whichever route those take.  One routine applies that reduction: on blocks
-of at most MAX_CLOSED_DIM coordinates it runs on a whole stack of them at
-once, every probability a closed form, and gives each block the bits it
-would get alone.
+whichever route those take.  One routine applies that reduction, each of
+its probabilities by its own size: up to MAX_CLOSED_DIM coordinates one
+closed-form call over a whole stack, which gives each matrix the bits it
+would get alone, and beyond that orthant_probability.
 """
 
 import math
@@ -477,18 +477,18 @@ def _conditional_covariances(psi):
 def _mean_single_block(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
                        seed=0):
     """(E[u | u > 0], P(u > 0)) by Tallis (see positive_orthant_mean) for
-    each matrix of a (..., L, L) stack of coupled blocks, L <= MAX_CLOSED_DIM,
-    every probability a closed form and each matrix's bits those it gets
-    alone; or for one larger coupled block, P(psi) integrated at seed and
-    P(psi_k) at seed + k + 1."""
-    conds = _conditional_covariances(psi)
-    if psi.shape[-1] <= MAX_CLOSED_DIM:
-        prob, g = _closed_orthant(psi), _closed_orthant(conds)
-    else:
-        kwargs = dict(rel_tol=rel_tol, max_samples=max_samples)
-        prob = orthant_probability(psi, seed=seed, **kwargs)
-        g = np.array([orthant_probability(cond, seed=seed + k + 1, **kwargs)
-                      for k, cond in enumerate(conds)])
+    each matrix of a (..., L, L) stack of coupled blocks, or one block when
+    L > MAX_CLOSED_DIM: P(psi) at seed and P(psi_k) at seed + k + 1, each a
+    stacked closed form up to MAX_CLOSED_DIM coordinates, else integrated."""
+
+    def probability(m, seeds):
+        if m.shape[-1] <= MAX_CLOSED_DIM:
+            return _closed_orthant(m)
+        return np.array([orthant_probability(x, rel_tol=rel_tol, max_samples=max_samples, seed=s)
+                         for x, s in zip(m, seeds, strict=True)])
+
+    prob = probability(psi[None], [seed])[0]
+    g = probability(_conditional_covariances(psi), range(seed + 1, seed + psi.shape[-1] + 1))
     w = g / np.sqrt(2.0 * np.pi * np.diagonal(psi, axis1=-2, axis2=-1))
     return (psi * w[..., None, :]).sum(-1) / np.expand_dims(prob, -1), prob
 

@@ -17,14 +17,22 @@ from .orthant import arcsin_clamped
 
 @dataclass(frozen=True)
 class QuantizedObservation:
-    """Sign pattern of one quantized observation.
-
-    r_real and r_imag are +-1 integer vectors; r is the complex combination
-    r_real + 1j * r_imag.
+    """Sign pattern of one quantized observation, checked on construction:
+    r_real and r_imag are +-1 float vectors, non-empty, 1-d and of equal
+    length, and r is the complex combination r_real + 1j * r_imag.
     """
 
     r_real: np.ndarray
     r_imag: np.ndarray
+
+    def __post_init__(self):
+        for name in ("r_real", "r_imag"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.r_real.shape != self.r_imag.shape or self.r_real.ndim != 1 or self.r_real.size == 0:
+            raise DimensionError("sign vectors must be non-empty 1-d arrays of equal length")
+        for name in ("r_real", "r_imag"):
+            if not np.all(np.abs(getattr(self, name)) == 1.0):
+                raise DomainError(f"{name} entries must be +-1")
 
     @property
     def r(self):
@@ -47,14 +55,7 @@ def quantize(b):
 
 
 def observation_from_signs(r_real, r_imag):
-    """Build a QuantizedObservation from explicit +-1 sign vectors."""
-    r_real = np.asarray(r_real, dtype=float)
-    r_imag = np.asarray(r_imag, dtype=float)
-    if r_real.shape != r_imag.shape or r_real.ndim != 1 or r_real.size == 0:
-        raise DimensionError("sign vectors must be non-empty 1-d arrays of equal length")
-    for name, v in (("r_real", r_real), ("r_imag", r_imag)):
-        if not np.all(np.abs(v) == 1.0):
-            raise DomainError(f"{name} entries must be +-1")
+    """Build a QuantizedObservation, which checks them, from +-1 sign vectors."""
     return QuantizedObservation(r_real=r_real, r_imag=r_imag)
 
 

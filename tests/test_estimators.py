@@ -20,6 +20,7 @@ from onebitmimo import (
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
+    QuantizedObservation,
     blmmse_estimate,
     blmmse_operator,
     build_pilot_model,
@@ -570,6 +571,20 @@ def test_method_argument_validated():
     obs = observation_from_signs(np.ones(1), np.ones(1))
     with pytest.raises(DomainError):
         mmse_estimate(stats, model, obs, method="bogus")
+
+
+@pytest.mark.parametrize("r_real, r_imag, error", [
+    ([1.0, -1.0, 1.0], [1.0], DimensionError),
+    ([1.0, 0.5, 1.0], [1.0, 1.0, 1.0], DomainError),
+    ([1.0, -1.0], [1.0, 1.0], DimensionError),
+])
+def test_both_estimators_reject_malformed_observations(r_real, r_imag, error):
+    # the observation checks its own signs, and each estimator its length,
+    # so neither broadcasts a short r_imag nor reads 0.5 as +1
+    stats, model = simo_setup(exponential_covariance(3, 0.6))
+    for estimate in (blmmse_estimate, mmse_estimate):
+        with pytest.raises(error):
+            estimate(stats, model, QuantizedObservation(r_real=r_real, r_imag=r_imag))
 
 
 @pytest.mark.parametrize("rel_tol", [5.0, float("nan"), -1.0, 0.0])

@@ -32,6 +32,7 @@ from onebitmimo.orthant import (
     DEFAULT_MAX_SAMPLES,
     MAX_QMC_DIM,
     _closed_orthant,
+    _conditional_covariances,
     _coupling_components,
     _mean_single_block,
     _plackett_orthant,
@@ -588,14 +589,48 @@ def test_mean_block_splitting():
 
 
 def test_mean_numeric_path_agrees():
+    # a closed 3-block, and a 4-block whose conditional given u_0 = 0
+    # couples coordinate 1 to the others below COUPLING_TOL: that
+    # conditional is one stacked closed form, not a product over its split
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 5))
-    psi = 0.5 * np.linalg.inv(a @ a.T / 5.0 + 0.4 * np.eye(3))
-    closed = positive_orthant_mean(psi)
-    numeric_mean, numeric_prob = numeric_orthant_mean(psi, seed=6)
-    assert closed.method == "closed-form"
-    np.testing.assert_allclose(numeric_mean, closed.mean, rtol=2e-3)
-    assert numeric_prob == pytest.approx(closed.prob, rel=2e-3)
+    e = 3e-12
+    weak = np.array([[1.0, 0.5, 0.4, 0.3], [0.5, 1.0, 0.2 + e, 0.15 + e],
+                     [0.4, 0.2 + e, 1.0, 0.35], [0.3, 0.15 + e, 0.35, 1.0]])
+    assert len(_coupling_components(_conditional_covariances(weak)[0])) == 2
+    cases = [(0.5 * np.linalg.inv(a @ a.T / 5.0 + 0.4 * np.eye(3)), "closed-form"),
+             (weak, "reduction")]
+    for psi, method in cases:
+        res = positive_orthant_mean(psi)
+        numeric_mean, numeric_prob = numeric_orthant_mean(psi, seed=6)
+        assert res.method == method
+        np.testing.assert_allclose(numeric_mean, res.mean, rtol=2e-3)
+        assert numeric_prob == pytest.approx(res.prob, rel=2e-3)
+
+
+@pytest.mark.parametrize("n, calls", [(4, 1), (5, 6), (6, 7)])
+def test_tallis_terms_call_orthant_probability_past_closed_dim(monkeypatch, n, calls):
+    # P(psi) at seed and P(psi_k) at seed + k + 1 each take the public entry
+    # only past MAX_CLOSED_DIM coordinates, so a 4-block's 3-coordinate
+    # conditionals are one stacked closed form; rel_tol goes by keyword,
+    # where the benchmark's tracer reads it
+    seen = []
+    solve = orthant.orthant_probability
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(orthant, "orthant_probability", spy)
+    psi = sign_pattern_flip(random_correlation(n, np.random.default_rng(n)),
+                            [1.0, -1.0, -1.0, 1.0, -1.0, 1.0][:n])
+    mean, prob = _mean_single_block(psi, rel_tol=1e-3, seed=2**63 + 7)
+    assert len(seen) == calls
+    assert all(kwargs.get("rel_tol") == 1e-3 for kwargs in seen)
+    seeds = [kwargs["seed"] for kwargs in seen]
+    assert seeds == ([2**63 + 7] if n == 4 else list(range(2**63 + 7, 2**63 + n + 8)))
+    assert all(type(seed) is int for seed in seeds)
+    assert mean.shape == (n,) and 0.0 < prob < 1.0
 
 
 def test_cf_2d_validation():
