@@ -30,9 +30,8 @@ j h_hat(r) and Pr(j r) = Pr(r).  A block B that the rotation maps onto
 itself (complex Omega) thus needs at most 2^(|B|-2) solves, and a pair
 of blocks mapped onto each other (the real-part and imaginary-part blocks
 of a real Omega) at most 2^(|B|-1) between them.  A row is solved only
-when an evaluation first needs it or its rotation: the rows a block of at
-most three coordinates is missing in one stacked closed-form call, those
-of a larger block one by one.
+when an evaluation first needs it or its rotation, all the rows a block
+is missing in one stacked positive_orthant_mean call, whatever its size.
 """
 
 import math
@@ -48,7 +47,6 @@ from .orthant import (
     MAX_CLOSED_DIM,
     MAX_QMC_DIM,
     _coupling_components,
-    _mean_single_block,
     check_rel_tol,
     positive_orthant_mean,
 )
@@ -181,11 +179,10 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     r -> j r pairs each row with a row of the same or another block, never
     with itself.  Each evaluation solves the rows it needs that are not yet
     filled: the smaller (block, row) of each pair, as positive_orthant_mean
-    solves block j of S, all of a block's in one stacked _mean_single_block
-    call when the block is closed-form, one by one at seed + 1000 j when it
-    is larger.  The other row of the pair is filled with j times its share,
-    sign-folded, and the same P_B.  So the tables do not depend on the fill
-    order, and h_hat(j r) = j h_hat(r) holds bit for bit.
+    solves block j of S, all of a block's in one stacked call at
+    seed + 1000 j.  The other row of the pair is filled with j times its
+    share, sign-folded, and the same P_B.  So the tables do not depend on
+    the fill order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     check_rel_tol(rel_tol)
     t = stats.omega_b.shape[0]
@@ -245,24 +242,17 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         comp = blocks[j]
         signs = unfold(j, rows)
         subs = signs[:, comp, None] * cov[np.ix_(comp, comp)] * signs[:, None, comp]
-        if len(comp) <= MAX_CLOSED_DIM:
-            block_means, block_probs = _mean_single_block(subs)
-        else:
-            solved = [positive_orthant_mean(sub, rel_tol=rel_tol, seed=seed + 1000 * j)
-                      for sub in subs]
-            block_means = [res.mean for res in solved]
-            block_probs = [res.prob for res in solved]
+        solved = positive_orthant_mean(subs, rel_tol=rel_tol, seed=seed + 1000 * j)
         means = np.zeros((len(rows), 2 * t))
-        means[:, comp] = block_means
+        means[:, comp] = solved.mean
         folded = signs[:, :t] * means[:, :t] + 1j * signs[:, t:] * means[:, t:]
-        for row, row_folded, prob in zip(rows, folded, block_probs):
+        for row, row_folded in zip(rows, folded):
             shares[j][row] = stats.sigma_ch @ (
                 model.kron_matrix.conj().T @ (stats.omega_inv @ row_folded))
-            probs[j][row] = prob
-            jr, jr_row = partner[j], image[j][row]
-            shares[jr][jr_row] = flip[j][row] * 1j * shares[j][row]
-            probs[jr][jr_row] = prob
-            filled[j][row] = filled[jr][jr_row] = True
+        jr, jr_rows = partner[j], image[j][rows]
+        shares[jr][jr_rows] = flip[j][rows, None] * 1j * shares[j][rows]
+        probs[j][rows] = probs[jr][jr_rows] = solved.prob
+        filled[j][rows] = filled[jr][jr_rows] = True
 
     def evaluate(r_real, r_imag):
         rows, first = fold(np.concatenate([r_real, r_imag], axis=1))

@@ -24,13 +24,14 @@ takes one of three routes, none falling back on another:
 
 The truncated mean is reduced to a vector of one-dimension-lower orthant
 probabilities of conditional covariances (Tallis 1961), so it inherits
-whichever route those take.  One routine applies that reduction, each of
-its probabilities by its own size: up to MAX_CLOSED_DIM coordinates one
-closed-form call over a whole stack, which gives each matrix the bits it
-would get alone, and beyond that orthant_probability.
+whichever route those take.  One routine applies it to each block of a
+stack of matrices, each probability by its size: up to MAX_CLOSED_DIM
+coordinates one closed-form call over the stack, beyond that
+orthant_probability per matrix; either way a matrix gets its own bits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,9 +120,19 @@ def _validate_spd(m, name):
 
 
 def check_rel_tol(rel_tol):
-    """Reject a relative tolerance outside (0, 1), NaN included."""
-    if not 0.0 < float(rel_tol) < 1.0:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    """Reject a relative tolerance that is not a real number in (0, 1): NaN
+    and numeric strings included."""
+    if not isinstance(rel_tol, numbers.Real) or not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must be a number in (0, 1), got {rel_tol!r}")
+
+
+def _check_max_samples(max_samples):
+    """Reject an evaluation budget that is not an integer (a bool is not)
+    or is below one lattice round of 2 _N_SHIFTS evaluations."""
+    if (isinstance(max_samples, bool) or not isinstance(max_samples, numbers.Integral)
+            or max_samples < 2 * _N_SHIFTS):
+        raise DomainError(f"max_samples must be an integer >= {2 * _N_SHIFTS}, "
+                          f"got {max_samples!r}")
 
 
 def standardize(psi):
@@ -152,21 +163,21 @@ def _closed_orthant(cov):
 
 
 def _coupling_graph(m):
-    """Adjacency of the coupling graph of a PD matrix, diagonal included:
-    i and k couple when their correlation exceeds COUPLING_TOL in
-    magnitude, |m_ik| > COUPLING_TOL sqrt(m_ii m_kk)."""
-    d = np.sqrt(m.diagonal())
-    return np.abs(m) > COUPLING_TOL * np.outer(d, d)
+    """Adjacency of the coupling graph of each PD matrix of a stack, diagonal
+    included: i and k couple when their correlation exceeds COUPLING_TOL
+    in magnitude, |m_ik| > COUPLING_TOL sqrt(m_ii m_kk)."""
+    d = np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
+    return np.abs(m) > COUPLING_TOL * (d[..., :, None] * d[..., None, :])
 
 
 def _coupling_components(m):
-    """Connected components of the coupling graph of a PD matrix, each as
-    ascending indices, ordered by their smallest index."""
-    reach = _coupling_graph(m)
+    """Connected components of the union of the coupling graphs of a stack
+    of PD matrices, each as ascending indices, ordered by the smallest."""
+    reach = _coupling_graph(m).reshape(-1, *m.shape[-2:]).any(0)
     # square the reachability matrix until it covers paths of length n - 1
-    for _ in range((m.shape[0] - 1).bit_length()):
+    for _ in range((m.shape[-1] - 1).bit_length()):
         reach = (reach.astype(np.int64) @ reach) > 0
-    return [np.flatnonzero(reach[i]) for i in range(m.shape[0]) if not reach[i, :i].any()]
+    return [np.flatnonzero(reach[i]) for i in range(m.shape[-1]) if not reach[i, :i].any()]
 
 
 @lru_cache(maxsize=None)
@@ -427,11 +438,14 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
     exactly, 4 and 5 Plackett's identity by adaptive quadrature (see
     _plackett_orthant), and more the quasi-random integrator at the seed.
     Both numeric routes work to relative tolerance rel_tol, which must lie
-    in (0, 1), and raise AccuracyError when their budget runs out first.
+    in (0, 1), and raise AccuracyError when their budget runs out first;
+    the lattice's, max_samples evaluations, must be an integer of at least
+    one round, 2 _N_SHIFTS, or DomainError is raised before any block.
     The seed must key a Philox stream, 0 <= seed < 2**64, once a block
     has 4 or more coordinates, whichever route serves it.
     """
     check_rel_tol(rel_tol)
+    _check_max_samples(max_samples)
     corr = standardize(psi)
     blocks = _coupling_components(corr)
     if max(len(comp) for comp in blocks) > MAX_CLOSED_DIM:
@@ -452,13 +466,13 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
 class TruncatedMeanResult:
     """Positive-orthant moments of u ~ N(0, psi).
 
-    mean is E[u | u > 0] and prob is P(u > 0).  method records whether
-    every coupled block was small enough for closed forms ("closed-form")
-    or some went through the numeric integrator ("reduction").
+    mean is E[u | u > 0] and prob is P(u > 0), for each matrix of psi;
+    method records whether every coupled block was small enough for closed
+    forms ("closed-form") or some went through the integrator ("reduction").
     """
 
     mean: np.ndarray
-    prob: float
+    prob: float | np.ndarray
     method: str
 
 
@@ -477,17 +491,20 @@ def _conditional_covariances(psi):
 def _mean_single_block(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
                        seed=0):
     """(E[u | u > 0], P(u > 0)) by Tallis (see positive_orthant_mean) for
-    each matrix of a (..., L, L) stack of coupled blocks, or one block when
-    L > MAX_CLOSED_DIM: P(psi) at seed and P(psi_k) at seed + k + 1, each a
-    stacked closed form up to MAX_CLOSED_DIM coordinates, else integrated."""
+    each matrix of a (..., L, L) stack of coupled blocks: P(psi) at seed
+    and P(psi_k) at seed + k + 1, Python ints, each term a stacked closed
+    form up to MAX_CLOSED_DIM coordinates, else orthant_probability per
+    matrix."""
 
     def probability(m, seeds):
         if m.shape[-1] <= MAX_CLOSED_DIM:
             return _closed_orthant(m)
-        return np.array([orthant_probability(x, rel_tol=rel_tol, max_samples=max_samples, seed=s)
-                         for x, s in zip(m, seeds, strict=True)])
+        seeds = np.broadcast_to(np.array(seeds, dtype=object), m.shape[:-2])
+        return np.reshape([orthant_probability(m[i], rel_tol=rel_tol, max_samples=max_samples,
+                                               seed=s) for i, s in np.ndenumerate(seeds)],
+                          seeds.shape)
 
-    prob = probability(psi[None], [seed])[0]
+    prob = probability(psi, seed)
     g = probability(_conditional_covariances(psi), range(seed + 1, seed + psi.shape[-1] + 1))
     w = g / np.sqrt(2.0 * np.pi * np.diagonal(psi, axis1=-2, axis2=-1))
     return (psi * w[..., None, :]).sum(-1) / np.expand_dims(prob, -1), prob
@@ -500,25 +517,30 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     By Tallis (1961), E[u | u > 0] = psi g / P(psi) with
     g_k = P(psi_k) / sqrt(2 pi psi_kk), where psi_k is the covariance of
     the other coordinates given u_k = 0; each coordinate costs one orthant
-    probability of one dimension less, plus one for P(psi).  Uncoupled
-    blocks of psi factor the distribution and are solved independently,
-    block j with seeds offset by 1000 j.  Block j of 4 or more coordinates
-    may integrate at seeds seed + 1000 j + k, k = 0..len(block); these key
-    Philox streams, so every one of them must lie in [0, 2**64), or
-    DomainError is raised before any block is solved, whichever of
-    orthant_probability's routes would have served it.
+    probability of one dimension less, plus one for P(psi).  psi may be a
+    (..., n, n) stack, such as a block's sign flips, each matrix validated
+    and given the bits it would get alone.  Uncoupled blocks of the union
+    of their coupling graphs factor the distribution and are solved
+    independently, block j with seeds offset by 1000 j.  Block j of 4 or
+    more coordinates may integrate at seeds seed + 1000 j + k,
+    k = 0..len(block); these key Philox streams, so every one of them must
+    lie in [0, 2**64), or DomainError is raised before any block is solved,
+    whichever of orthant_probability's routes would have served it.
     """
     check_rel_tol(rel_tol)
-    psi = _validate_spd(psi, "psi")
+    _check_max_samples(max_samples)
+    psi = np.asarray(psi, dtype=float)
+    flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
+    psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
     blocks = _coupling_components(psi)
     for j, comp in enumerate(blocks):
         if len(comp) > MAX_CLOSED_DIM:
             _check_stream_keys(seed + 1000 * j, seed + 1000 * j + len(comp))
-    mean = np.empty(psi.shape[0])
+    mean = np.empty(psi.shape[:-1])
     prob = 1.0
     for j, comp in enumerate(blocks):
-        sub = psi[np.ix_(comp, comp)]
-        mean[comp], p = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j)
+        sub = psi[..., comp[:, None], comp]
+        mean[..., comp], p = _mean_single_block(sub, rel_tol, max_samples, seed + 1000 * j)
         prob *= p
     closed = max(len(comp) for comp in blocks) <= MAX_CLOSED_DIM
     return TruncatedMeanResult(mean=mean, prob=prob,

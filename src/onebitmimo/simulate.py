@@ -131,7 +131,6 @@ class SweepConfig:
         _check_number(self.seed, "seed must be an integer", integral=True)
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
-        _check_number(self.rel_tol, "rel_tol must be a number")
         check_rel_tol(self.rel_tol)
 
 

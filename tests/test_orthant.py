@@ -492,7 +492,7 @@ def test_standardize_splits_scale():
     np.testing.assert_allclose(corr, [[1.0, 0.5], [0.5, 1.0]])
 
 
-@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 1.0, math.nan])
+@pytest.mark.parametrize("rel_tol", [-1.0, 0.0, 1.0, math.nan, "0.001"])
 def test_rel_tol_outside_unit_interval_rejected(rel_tol):
     # checked before any integration, where a negative or NaN tolerance
     # would spend the whole evaluation budget before failing
@@ -500,6 +500,19 @@ def test_rel_tol_outside_unit_interval_rejected(rel_tol):
     for entry in (orthant_probability, positive_orthant_mean):
         with pytest.raises(DomainError, match="rel_tol"):
             entry(psi, rel_tol=rel_tol, max_samples=10_000)
+
+
+@pytest.mark.parametrize("max_samples", [0, -5, 1, 2 * _N_SHIFTS - 1, 100.0, True, "100"])
+def test_max_samples_below_one_round_rejected(max_samples):
+    # checked before any block is solved, where the lattice would spend a
+    # whole round of 2 _N_SHIFTS evaluations past the budget first
+    psi = equicorrelated(6, 0.3)
+    for entry in (orthant_probability, positive_orthant_mean):
+        with pytest.raises(DomainError, match="max_samples"):
+            entry(psi, rel_tol=1e-3, max_samples=max_samples)
+    # one round is the smallest budget, and the lattice keeps to it
+    with pytest.raises(AccuracyError, match=f"used {2 * _N_SHIFTS} evaluations"):
+        orthant_probability(psi, rel_tol=1e-6, max_samples=np.int64(2 * _N_SHIFTS))
 
 
 def test_seed_beyond_one_stream_key_rejected():
@@ -631,6 +644,28 @@ def test_tallis_terms_call_orthant_probability_past_closed_dim(monkeypatch, n, c
     assert seeds == ([2**63 + 7] if n == 4 else list(range(2**63 + 7, 2**63 + n + 8)))
     assert all(type(seed) is int for seed in seeds)
     assert mean.shape == (n,) and 0.0 < prob < 1.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stacked_mean_gives_each_matrix_its_own_bits(n):
+    # the sign tables solve a block's sign flips in one stacked call; each
+    # must get the bits of its own call, here next to an uncoupled 2-block
+    # that is solved as block 1, at seeds offset by 1000
+    rng = np.random.default_rng(40 + n)
+    scale = rng.uniform(0.5, 2.0, n + 2)
+    psi = np.zeros((n + 2, n + 2))
+    psi[:n, :n] = random_correlation(n, rng)
+    psi[n:, n:] = [[1.0, -0.4], [-0.4, 1.0]]
+    psi *= np.outer(scale, scale)
+    signs = rng.choice([-1.0, 1.0], size=(2, 3, n + 2))
+    stack = signs[..., :, None] * psi * signs[..., None, :]
+    res = positive_orthant_mean(stack, rel_tol=1e-3, seed=2**63 + 7)
+    assert res.mean.shape == (2, 3, n + 2) and res.prob.shape == (2, 3)
+    assert res.method == ("closed-form" if n == 3 else "reduction")
+    for idx in np.ndindex(2, 3):
+        alone = positive_orthant_mean(stack[idx], rel_tol=1e-3, seed=2**63 + 7)
+        assert np.array_equal(alone.mean, res.mean[idx])
+        assert alone.prob == res.prob[idx]
 
 
 def test_cf_2d_validation():

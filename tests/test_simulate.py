@@ -259,14 +259,28 @@ def test_unservable_point_fails_before_any_sampling(monkeypatch):
     assert calls == []
 
 
+def _count_solved_rows(monkeypatch):
+    # the sign-folded block rows the tables hand to each stacked solve
+    rows = []
+    solve = estimators.positive_orthant_mean
+
+    def counted(psi, *args, **kwargs):
+        rows.extend(m.tobytes() for m in psi.reshape(-1, *psi.shape[-2:]))
+        return solve(psi, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "positive_orthant_mean", counted)
+    return rows
+
+
 def test_unstandardized_real_simo3_sweep_takes_closed_form(monkeypatch):
-    # the sign tables fill both 3-blocks of S in closed form, with no
-    # per-row reduction and no orthant probability of the general route
-    def solve(*args, **kwargs):
+    # the sign tables fill both 3-blocks of S in closed form: every solve
+    # is a stack of 3x3 rows, and no orthant probability takes the general
+    # route
+    def leave(*args, **kwargs):
         raise AssertionError("the sweep left the closed form")
 
-    monkeypatch.setattr(estimators, "positive_orthant_mean", solve)
-    monkeypatch.setattr(orthant, "orthant_probability", solve)
+    rows = _count_solved_rows(monkeypatch)
+    monkeypatch.setattr(orthant, "orthant_probability", leave)
     scale = np.sqrt([2.0, 1.0, 0.5])
     sigma = scale[:, None] * exponential_covariance(3, 0.6) * scale[None, :]
     cfg = SweepConfig(
@@ -279,6 +293,8 @@ def test_unstandardized_real_simo3_sweep_takes_closed_form(monkeypatch):
         seed=3,
     )
     assert len(run_mse_sweep(cfg).rows) == 4
+    # each solved row is a 3x3 block of float64
+    assert rows and all(len(row) == 3 * 3 * 8 for row in rows)
 
 
 def test_preamble_tells_matrix_specs_apart():
@@ -509,47 +525,22 @@ def test_sign_tables_rotation_invariance_is_exact_on_two_blocks():
     _assert_flip_and_rotation_exact(evaluate, signs[:, :4], signs[:, 4:])
 
 
-def _count_solves(monkeypatch):
-    calls = []
-    solve = estimators.positive_orthant_mean
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(estimators, "positive_orthant_mean", counted)
-    return calls
-
-
 def test_sign_tables_solve_each_block_pattern_once(monkeypatch):
-    calls = _count_solves(monkeypatch)
+    rows = _count_solved_rows(monkeypatch)
     # 2000 trials hit all 16 patterns, which fold onto the 8 rows of the
     # block; r -> j r pairs those rows, and one row of each pair is solved,
     # however the trials are chunked
     for chunk in (simulate._CHUNK, 7):
-        calls.clear()
+        rows.clear()
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         run_mse_sweep(general_sweep_config(snr_grid_db=(10.0,)))
-        assert len(calls) == 4
+        assert len(rows) == 4
     # a real Omega: only the real-part block's 8 rows are solved
     for trials in (20, 3_000):
-        calls.clear()
+        rows.clear()
         run_mse_sweep(real_two_block_config(snr_grid_db=(10.0,), estimators=("mmse",),
                                             trials=trials))
-        assert 0 < len(calls) <= 8
-
-
-def _count_closed_rows(monkeypatch):
-    # the sign-folded blocks the tables hand to the stacked closed form
-    rows = []
-    solve = estimators._mean_single_block
-
-    def counted(psi, *args, **kwargs):
-        rows.extend(m.tobytes() for m in psi.reshape(-1, *psi.shape[-2:]))
-        return solve(psi, *args, **kwargs)
-
-    monkeypatch.setattr(estimators, "_mean_single_block", counted)
-    return rows
+        assert 0 < len(rows) <= 8
 
 
 def _closed_simo3_config():
@@ -561,7 +552,7 @@ def _closed_simo3_config():
 def test_closed_estimate_solves_only_its_own_rows(monkeypatch):
     # Im r = -Re r puts both blocks on one rotation pair: one row is solved,
     # not the table's 4; independent signs need one row per block
-    rows = _count_closed_rows(monkeypatch)
+    rows = _count_solved_rows(monkeypatch)
     stats, model = build_point(_closed_simo3_config(), 20.0)
     r_real = np.array([1.0, -1.0, 1.0])
     for r_imag, solved in ((-r_real, 1), (np.array([1.0, 1.0, -1.0]), 2)):
@@ -572,7 +563,7 @@ def test_closed_estimate_solves_only_its_own_rows(monkeypatch):
 
 
 def test_closed_sweep_solves_each_own_row_at_most_once(monkeypatch):
-    rows = _count_closed_rows(monkeypatch)
+    rows = _count_solved_rows(monkeypatch)
     # the real-part block's 4 rows are the own rows; the imaginary-part
     # block's are their rotations
     for chunk in (simulate._CHUNK, 7):
