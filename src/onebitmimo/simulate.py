@@ -5,15 +5,16 @@ the target SNR through snr = trace(S S^H) / (tau N_T noise_var), so the
 SNR axis of a sweep is exact by construction; the per-point pilot energy
 is echoed in the result metadata.  Trial t draws its normals from words
 [t*w, (t+1)*w) of one counter-based Philox stream keyed by the seed (see
-model.sample_realizations), and per-trial squared errors are summed by
-math.fsum, which is correctly rounded and so independent of their order;
-results are bit-identical for any batching of the work.
+model.sample_realizations), and per-trial squared errors are summed
+exactly as each chunk is produced and rounded once at the end (_ExactSum),
+which gives the correctly rounded sum in any order; results are
+bit-identical for any batching of the work.
 
 Neither the channel draw h nor the noise draw n depends on the SNR, so all
 points of a sweep share each trial's h and n (common random numbers): each
 chunk of trials is drawn once, and only the observation b = A h + n is
-formed per point.  The squared errors of every point are held until the
-sweep ends, at 8 bytes per trial per (point, estimator).
+formed per point.  A sweep keeps two exact sums per (point, estimator) and
+no per-trial values, so its memory does not grow with the trial count.
 """
 
 import hashlib
@@ -49,6 +50,57 @@ NOISE_VAR = 1.0
 ESTIMATOR_NAMES = ("mmse", "blmmse")
 
 _CHUNK = 8192
+
+
+class _ExactSum:
+    """Running sum of float64 arrays, exact until it is read.
+
+    np.frexp writes a finite double as q * 2**(e - 53) with q an integer of
+    at most 53 bits and e >= -1073, so it is a whole number of units of
+    2**-1126; the sum is one Python int in those units.  value() rounds it
+    once by int / int true division, which is correctly rounded, so it is
+    the double math.fsum returns over the same values, whatever their order
+    or chunking.  As for fsum, a non-finite value makes the sum inf or nan.
+    """
+
+    __slots__ = ("_units", "_special")
+
+    def __init__(self):
+        self._units = 0
+        self._special = 0.0  # sum of the non-finite values added, 0.0 while none is
+
+    def add(self, v):
+        """Add the values of a 1-D float64 array of fewer than 2**26 values."""
+        finite = np.isfinite(v)
+        if not finite.all():
+            for x in v[~finite]:
+                self._special += float(x)
+            v = v[finite]
+            if v.size == 0:
+                return
+        m, e = np.frexp(v)
+        low = int(e.min())
+        e -= low
+        # q's high 27 and low 26 bits (the latter as a fraction of 2**26),
+        # each summed per exponent: fewer than 2**26 terms keep every bin
+        # below 2**53 units, so the float sums are exact
+        m *= 2.0**27
+        hi = np.floor(m)
+        hi_sums = np.bincount(e, weights=hi)[::-1].astype(np.int64)
+        m -= hi
+        lo_sums = (np.bincount(e, weights=m)[::-1] * 2.0**26).astype(np.int64)
+        units = 0
+        # Horner from the top exponent down; a memoryview iterates Python ints
+        for h, lo in zip(memoryview(hi_sums), memoryview(lo_sums)):
+            units = (units << 1) + (h << 26) + lo
+        self._units += units << (low + 1073)
+
+    def value(self):
+        """The sum of every value added, rounded once."""
+        if self._special:
+            return self._special
+        return self._units / (1 << 1126)
+
 
 # The parameters each covariance and pilot kind reads, with their defaults
 # (None: a matrix the kind needs, or an optional imaginary part).  A spec may
@@ -300,10 +352,12 @@ def run_mse_sweep(config):
     Returns an MseSweepResult with one row per (snr_db, estimator),
     ordered by ascending SNR then estimator name.  Deterministic for a
     fixed config: trials sit at fixed positions of one counter-based
-    stream, and squared errors are summed by math.fsum, correctly rounded.
-    Every point reads the same h and n for a trial: each chunk is drawn
-    once and each point forms its own b = A h + n from the draw, so a
-    point's row equals that of a sweep over that point alone.
+    stream, and squared errors are summed exactly as each chunk is drawn
+    and rounded once (_ExactSum), so each sum is the correctly rounded one
+    and the sweep's memory does not grow with config.trials.  Every point
+    reads the same h and n for a trial: each chunk is drawn once and each
+    point forms its own b = A h + n from the draw, so a point's row equals
+    that of a sweep over that point alone.
     """
     dims = config.dims
     trials = int(config.trials)
@@ -322,30 +376,34 @@ def run_mse_sweep(config):
     # h and n read only the seed, the trial, sigma_ch and NOISE_VAR, which
     # no point changes, so any point's stats can draw them.
     _, draw_stats, draw_model, _ = points[0]
-    sq_errors = [{name: [] for name in config.estimators} for _ in points]
+    # per (point, estimator): exact sums of v and v**2, v a trial's squared
+    # error per channel coefficient
+    sums = [{name: (_ExactSum(), _ExactSum()) for name in config.estimators} for _ in points]
     done = 0
     while done < trials:
         n = min(_CHUNK, trials - done)
         h, noise = sample_realizations(
             draw_stats, draw_model, config.seed, n, start_stream=done
         )
-        for (_, _, model, evals), point_errors in zip(points, sq_errors):
+        for (_, _, model, evals), point_sums in zip(points, sums):
             b = observe(model, h, noise)
             rr = sgn(b.real)
             ri = sgn(b.imag)
             for name, evaluate in evals.items():
                 diff = evaluate(rr, ri) - h
-                point_errors[name].append(
+                v = (
                     np.einsum("ij,ij->i", diff.real, diff.real)
                     + np.einsum("ij,ij->i", diff.imag, diff.imag)
-                )
+                ) / dims.channel_len
+                sum_v, sum_sq = point_sums[name]
+                sum_v.add(v)
+                sum_sq.add(v * v)
         done += n
-    for (snr_db, _, _, _), point_errors in zip(points, sq_errors):
+    for (snr_db, _, _, _), point_sums in zip(points, sums):
         for name in config.estimators:
-            v = np.concatenate(point_errors[name]) / dims.channel_len
-            # fsum iterates Python floats faster than np.float64 scalars
-            mean = math.fsum(v.tolist()) / trials
-            mean_sq = math.fsum((v * v).tolist()) / trials
+            sum_v, sum_sq = point_sums[name]
+            mean = sum_v.value() / trials
+            mean_sq = sum_sq.value() / trials
             stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / trials)
             rows.append(
                 SweepRow(

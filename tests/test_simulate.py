@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,83 @@ def test_sweep_chunk_invariant(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     odd_chunks = run_mse_sweep(cfg)
     assert odd_chunks.rows == baseline.rows
+
+
+def _exact_sum_cases():
+    rng = np.random.default_rng(23)
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, 3000)
+    tiny = np.concatenate([np.full(40, 5e-324), 10.0 ** rng.uniform(-323.0, -300.0, 400)])
+    mixed = np.concatenate([wide, tiny, np.zeros(50), -wide[:700], [1e300, 1.0, -1e300]])
+    yield np.array([0.1])
+    yield np.array([5e-324])
+    yield np.zeros(3)
+    yield tiny
+    yield mixed
+    yield rng.exponential(size=20_000) ** 3
+    yield rng.permutation(np.concatenate([mixed, rng.standard_normal(20_000 - mixed.size)]))
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_exact_sum_equals_fsum_bit_for_bit(case):
+    # fsum is correctly rounded, so any exact sum that rounds once gives its
+    # double whatever the chunking and order in which values are folded in
+    v = list(_exact_sum_cases())[case]
+    rng = np.random.default_rng(case)
+    expect = math.fsum(v.tolist())
+    for _ in range(4):
+        cuts = np.sort(rng.integers(0, v.size + 1, size=int(rng.integers(0, 9))))
+        chunks = [c for c in np.split(v, cuts) if c.size]
+        acc = simulate._ExactSum()
+        for i in rng.permutation(len(chunks)):
+            acc.add(chunks[i])
+        assert acc.value().hex() == expect.hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_error_reads_as_under_fsum(monkeypatch, bad):
+    # one trial's blmmse estimate is non-finite: that row's MSE is the
+    # non-finite sum (nan, or inf) and its stderr nan, as math.fsum gives;
+    # the mmse row is untouched, and no RuntimeWarning is raised
+    resolve = simulate._resolve_estimators
+
+    def poisoned(*args):
+        evals = resolve(*args)
+        blmmse = evals["blmmse"]
+
+        def evaluate(rr, ri):
+            out = blmmse(rr, ri)
+            out[3, 0] = bad
+            return out
+
+        return {**evals, "blmmse": evaluate}
+
+    cfg = scalar_config(trials=300)
+    clean = run_mse_sweep(cfg).rows
+    monkeypatch.setattr(simulate, "_resolve_estimators", poisoned)
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    rows = {row.estimator: row for row in run_mse_sweep(cfg).rows}
+    assert rows["mmse"] == next(r for r in clean if r.estimator == "mmse")
+    assert repr(rows["blmmse"].mse) == repr(bad)
+    assert math.isnan(rows["blmmse"].stderr)
+
+
+def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
+    # ten times the trials in chunks of 64 may not raise the traced peak:
+    # the sweep keeps per (point, estimator) state of fixed size
+    monkeypatch.setattr(simulate, "_CHUNK", 64)
+    cfg = scalar_config(snr_grid_db=(0.0, 10.0, 20.0))
+
+    def peak(trials):
+        run_mse_sweep(dataclasses.replace(cfg, trials=trials))
+        tracemalloc.start()
+        try:
+            run_mse_sweep(dataclasses.replace(cfg, trials=trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(1_280)
+    assert peak(12_800) <= small + 32 * 1024
 
 
 def test_scalar_mse_matches_analytic_value():
