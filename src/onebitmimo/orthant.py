@@ -13,7 +13,10 @@ takes one of three routes, none falling back on another:
   2^-n plus one-dimensional integrals of the closed form of dimension
   n - 2, taken by globally adaptive Gauss-Kronrod bisection whose
   embedded Gauss rule gives the error estimate;
-* beyond that, the Genz-Bretz method: the Cholesky factor is built with
+* in dimension 6, the same identity nested once: its integrand, an orthant
+  probability of dimension 4, is that quadrature over closed forms of
+  dimension 2, and both levels refine;
+* from dimension 7, the Genz-Bretz method: the Cholesky factor is built with
   variable reordering (the least likely coordinate conditioned first),
   and the sequential-conditioning integrand is averaged over randomly
   shifted copies of a rank-1 lattice rule whose generating vector comes
@@ -70,33 +73,44 @@ _POINTS_PER_DIM = 100
 _MAX_CALL_POINTS = 2**16
 
 # Largest coupled block whose orthant probability is integrated by Plackett's
-# identity, one dimension of quadrature over closed forms of dimension n - 2.
-_MAX_PLACKETT_DIM = MAX_CLOSED_DIM + 2
-# Most panels the quadrature splits a block's integrals into, over all pairs.
+# identity, over closed forms of dimension n - 2 or, nested once, over itself.
+_MAX_PLACKETT_DIM = MAX_CLOSED_DIM + 3
+# Most panels the quadrature splits a block's integrals into, over all pairs;
+# each tightening of a panel's nested tolerance counts as one more.
 _PLACKETT_PANELS = 1000
 
+
+def _unit_rule(half_nodes, half_kronrod, half_gauss):
+    """(nodes, Kronrod weights, Gauss weights) of a Gauss-Kronrod rule given on
+    [-1, 0], moved to [0, 1]: Gauss weights are zero at Kronrod-only nodes."""
+    mirror = lambda x, sign=1.0: np.concatenate([sign * np.array(x), x[-2::-1]])
+    return 0.5 + 0.5 * mirror(half_nodes, -1.0), 0.5 * mirror(half_kronrod), 0.5 * mirror(half_gauss)
+
+
 # The 15-point Gauss-Kronrod rule and its embedded 7-point Gauss rule
-# (QUADPACK qk15, Piessens et al. 1983), moved from [-1, 1] to [0, 1]:
-# nodes ascending, Gauss weights zero at the Kronrod-only nodes.
-_KRONROD_HALF = np.array([
+# (QUADPACK qk15, Piessens et al. 1983) for the outer level, and the 7-point
+# rule with its embedded 3-point Gauss rule (G3K7) for every nested level.
+_RULE_15 = _NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = _unit_rule([
     0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
     0.207784955007898467600689403773245, 0.0,
-])
-_KRONROD_HALF_WEIGHTS = np.array([
+], [
     0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
     0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_GAUSS_HALF_WEIGHTS = np.array([
+], [
     0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
 ])
-_NODES = 0.5 + 0.5 * np.concatenate([-_KRONROD_HALF, _KRONROD_HALF[-2::-1]])
-_KRONROD_WEIGHTS = 0.5 * np.concatenate([_KRONROD_HALF_WEIGHTS, _KRONROD_HALF_WEIGHTS[-2::-1]])
-_GAUSS_WEIGHTS = 0.5 * np.concatenate([_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[-2::-1]])
+_RULE_7 = _unit_rule([
+    0.960491268708020283423507092629080, 0.774596669241483377035853079956480,
+    0.434243749346802558002071502844628, 0.0,
+], [
+    0.104656226026467265193823857192073, 0.268488089868333440728569280666710,
+    0.401397414775962222905051818618432, 0.450916538658474142345110446691140,
+], [0.0, 5.0 / 9.0, 0.0, 8.0 / 9.0])
 
 
 def arcsin_clamped(x):
@@ -149,16 +163,37 @@ def _closed_orthant(cov):
     """Exact orthant probabilities of a (..., L, L) stack of covariances,
     L <= MAX_CLOSED_DIM: 2^-L plus the sum of the arcsines of the
     correlations over 2^(L-1) pi, so L = 0 gives 1 and L = 1 gives 1/2.
-    Each step is elementwise or a sum over the last axis, so a matrix gets
-    the same bits in a stack as alone; a unit diagonal divides out exactly."""
-    n = cov.shape[-1]
+    Only the diagonal and the entries above it are read (_closed_entries)."""
+    i, j = _above_diagonal(cov.shape[-1])
+    return _closed_entries(np.moveaxis(np.diagonal(cov, axis1=-2, axis2=-1), -1, 0),
+                           np.moveaxis(cov[..., i, j], -1, 0))
+
+
+@lru_cache(maxsize=None)
+def _above_diagonal(n):
+    """np.triu_indices(n, 1), read-only: the entries above the diagonal."""
+    out = np.triu_indices(n, 1)
+    for index in out:
+        index.setflags(write=False)
+    return out
+
+
+def _correlations(diag, upper):
+    """Correlations at the entries upper (L (L - 1) / 2, ...) above the
+    diagonal of a stack of covariances with diagonal diag (L, ...)."""
+    i, j = _above_diagonal(len(diag))
+    scale = np.sqrt(diag)
+    return upper / (scale[i] * scale[j])
+
+
+def _closed_entries(diag, upper):
+    """_closed_orthant from the entries of _correlations: elementwise and
+    summed over the entries, so a matrix gets the same bits in a stack as
+    alone; a unit diagonal divides out exactly."""
+    n = len(diag)
     if n > MAX_CLOSED_DIM:
         raise DimensionError(f"no closed form for dimension {n}")
-    # the pairs (0, 1), (0, 2), (1, 2) above the diagonal, in that order
-    pairs = n * (n - 1) // 2
-    i, j = [0, 0, 1][:pairs], [1, 2, 2][:pairs]
-    scale = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
-    s = arcsin_clamped(cov[..., i, j] / (scale[..., i] * scale[..., j])).sum(-1)
+    s = arcsin_clamped(_correlations(diag, upper)).sum(0)
     return 0.5**n + s / (2.0 ** (n - 1) * np.pi)
 
 
@@ -182,18 +217,110 @@ def _coupling_components(m):
 
 @lru_cache(maxsize=None)
 def _pair_indices(n):
-    """(i, j, others) of the n (n - 1) / 2 pairs i < j of n coordinates:
-    others[p] lists the n - 2 coordinates outside pair p, ascending."""
-    i, j = np.triu_indices(n, 1)
+    """Read-only (E, pairs) gathers from the entries above the diagonal of n
+    coordinates, and eye (E,): the conditional matrix of the others of pair
+    i < j is taken at its diagonal (eye 1), then above (eye 0); at each such
+    entry, i_first locates (i, row's other), i_second (i, column's other),
+    j_first and j_second likewise, off (row's other, column's other)."""
+    i, j = _above_diagonal(n)
+    at = np.zeros((n, n), dtype=int)
+    at[i, j] = at[j, i] = np.arange(len(i))
     others = np.array([[k for k in range(n) if k not in pair] for pair in zip(i, j)],
-                      dtype=int).reshape(len(i), n - 2)
-    for index in (i, j, others):
+                      dtype=int).reshape(len(i), n - 2).T
+    first, second = (np.concatenate([np.arange(n - 2), index])
+                     for index in _above_diagonal(n - 2))
+    out = (*(at[others[index], coordinate] for coordinate in (i, j) for index in (first, second)),
+           at[others[first], others[second]], (first == second) * 1.0)
+    for index in out:
         index.setflags(write=False)
-    return i, j, others
+    return out
+
+
+def _plackett_quadrature(upper, n, rel_tol, abs_tol, rule):
+    """(estimates, errors) of P of M correlation matrices of n coordinates,
+    upper (n (n - 1) / 2, M) their entries above the diagonal, by Plackett's
+    identity (see _plackett_orthant) under rule (nodes, Kronrod and Gauss
+    weights).  A panel's error is its Kronrod-Gauss gap plus, where P_{n-2}
+    is this quadrature under _RULE_7, the inner errors at the Kronrod
+    weights, times |arcsin R_ij| / 2 pi.  Until a matrix's error is at most
+    rel_tol P + abs_tol, its worst panel and all above an even share of that
+    are halved or, where the inner part outweighs the gap, taken again at
+    an inner tolerance that meets the share; a matrix stops where its
+    panels, tightenings counted, would pass _PLACKETT_PANELS."""
+    nodes, kronrod_weights, gauss_weights = rule
+    pairs, m = upper.shape
+    i_first, i_second, j_first, j_second, off_at, eye = _pair_indices(n)
+    # conditional covariance of the others given x_i = x_j = 0 at R(t): the
+    # rows a, b of R(t) towards i, j are t a, t b and their correlation is
+    # s; (E, pairs * m) entries of cell = pair * m + matrix
+    end, rho = arcsin_clamped(upper).ravel(), upper.ravel()
+    a, b = upper[i_first], upper[j_first]
+    same = (a * upper[i_second] + b * upper[j_second]).reshape(len(eye), -1)
+    cross = (a * upper[j_second] + b * upper[i_second]).reshape(len(eye), -1)
+    off = (upper[off_at] * (1.0 - eye)[:, None, None]).reshape(len(eye), -1)
+    eye = eye[:, None, None]
+    # each panel's cell, left end and width on the unit interval that
+    # u / arcsin R_ij runs over, and inner tolerance; kronrod, gap and inner
+    # hold the leading panels' sums
+    cell, left, width = np.arange(pairs * m), np.zeros(pairs * m), np.ones(pairs * m)
+    tol = np.full(pairs * m, np.inf)
+    kronrod = gap = inner = np.empty(0)
+    spent, stopped = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    while True:
+        new, h = len(kronrod), width[len(kronrod):]
+        q = cell[new:]
+        u = end[q] * (left[new:] + h * nodes[:, None])
+        s, cos2, r = np.sin(u), np.cos(u) ** 2, rho[q]
+        t = s / np.where(r != 0.0, r, 1.0)  # s = 0 where r = 0
+        # entries first; np.take keeps each gather contiguous
+        at = lambda x: np.take(x, q, axis=1)[:, None]
+        c = t * at(off) + eye - t * t * (at(same) - s * at(cross)) / cos2
+        if n - 2 <= MAX_CLOSED_DIM:
+            f, k_err = _closed_entries(c[: n - 2], c[n - 2 :]), np.zeros(len(q))
+        else:
+            f, f_err = (v.reshape(u.shape) for v in _plackett_quadrature(
+                _correlations(c[: n - 2], c[n - 2 :]).reshape(-1, u.size), n - 2, 0.0,
+                np.broadcast_to(tol[new:], u.shape).ravel(), _RULE_7))
+            k_err = h * (kronrod_weights @ f_err)
+        k = h * (kronrod_weights @ f)
+        gap = np.concatenate([gap, np.abs(k - h * (gauss_weights @ f))])
+        inner = np.concatenate([inner, k_err])
+        kronrod = np.concatenate([kronrod, k])
+        sums = np.bincount(cell, kronrod, pairs * m).reshape(pairs, m)
+        est = 0.5**n + (end.reshape(pairs, m).T[:, None] @ sums.T[..., None])[:, 0, 0] / (
+            2.0 * np.pi)
+        panel_err = np.abs(end[cell]) * (gap + inner) / (2.0 * np.pi)
+        mat = cell % m
+        err, live = np.bincount(mat, panel_err, m), np.bincount(mat, minlength=m)
+        goal = rel_tol * est + abs_tol
+        if (err <= goal).all():
+            return est, err
+        # refine the worst panel and every panel above an even share of goal
+        share = (goal / live)[mat]
+        split = panel_err > share
+        order = np.lexsort((-panel_err, mat))
+        split[order[np.diff(mat[order], prepend=-1) != 0]] = True
+        split &= (err > goal)[mat]
+        stopped |= live + spent + np.bincount(mat[split], minlength=m) > _PLACKETT_PANELS
+        split &= ~stopped[mat]
+        if not split.any():
+            return est, err
+        tighten, halve = split & (inner > gap), split & (inner <= gap)
+        spent += np.bincount(mat[tighten], minlength=m)
+        # tightened panels take an inner tolerance that meets their share
+        # (inner > 0 only where arcsin R_ij != 0); halved ones keep theirs
+        need = 2.0 * np.pi * share[tighten] / (np.abs(end[cell[tighten]]) * width[tighten])
+        tol[tighten] = np.minimum(tol[tighten], need) / 2.0
+        width[halve] /= 2.0
+        # kept panels, tightened ones, then both halves of each halved one
+        regroup = lambda x, y: np.concatenate([x[~split], x[tighten], x[halve], y[halve]])
+        left, cell, tol, width = (regroup(x, y) for x, y in (
+            (left, left + width), (cell, cell), (tol, tol), (width, width)))
+        kronrod, gap, inner = kronrod[~split], gap[~split], inner[~split]
 
 
 def _plackett_orthant(corr, rel_tol):
-    """Orthant probability of a standardized covariance R of n <= 5
+    """Orthant probability of a standardized covariance R of n <= 6
     coordinates by Plackett's (1954) identity, as (estimate, error estimate).
 
     Along R(t) = I + t (R - I), dP/dR_ij = phi_2(0, 0; R_ij) P_{n-2}(R_{.|ij}),
@@ -203,53 +330,25 @@ def _plackett_orthant(corr, rel_tol):
         P(R) = 2^-n + 1/(2 pi) sum_{i<j} int_0^{arcsin R_ij} P_{n-2}(R(t)_{.|ij}) du.
 
     The path is a convex combination of I and R, so it stays positive
-    definite, and P_{n-2} is the arcsine closed form.  Each pair's integral
-    starts as one panel of the 15-point Kronrod rule, whose gap to the
-    embedded 7-point Gauss rule is the panel's error estimate; panels are
-    bisected globally adaptively (QUADPACK) until the summed gap is at most
-    rel_tol times the estimate, else AccuracyError past _PLACKETT_PANELS.
+    definite.  P_{n-2} is the arcsine closed form up to n = 5; at n = 6 it is
+    this identity again over closed forms of 2 coordinates (Miwa, Hayter &
+    Kuriki 2003), each conditional computed only at the entries the next
+    level reads.  Each pair's integral starts as one panel of the 15-point
+    Kronrod rule, the inner ones as one of the 7-point rule, whose gaps to
+    the embedded Gauss rules give the error estimate; both levels are
+    refined globally adaptively (QUADPACK; see _plackett_quadrature) until
+    it is at most rel_tol times the estimate, else AccuracyError once the
+    block's panels would pass _PLACKETT_PANELS.
     """
     n = corr.shape[0]
-    i, j, others = _pair_indices(n)
-    rho = corr[i, j]
-    end = arcsin_clamped(rho)
-    # conditional covariance of the others given x_i = x_j = 0 at R(t): the
-    # rows a, b of R(t) towards i, j are t a, t b and their correlation is s
-    a, b = corr[others, i[:, None]], corr[others, j[:, None]]
-    outer = lambda x, y: x[:, :, None] * y[:, None, :]
-    same, cross = outer(a, a) + outer(b, b), outer(a, b) + outer(b, a)
-    eye = np.eye(n - 2)
-    off = corr[others[:, :, None], others[:, None, :]] * (1.0 - eye)
-    # each panel's pair, left end and width on the unit interval that
-    # u / arcsin R_ij runs over; kronrod and gap hold the leading panels' sums
-    pair, left, width = np.arange(len(rho)), np.zeros(len(rho)), np.ones(len(rho))
-    kronrod = gap = np.empty(0)
-    while True:
-        p, h = pair[len(kronrod):], width[len(kronrod):]
-        u = (end[p] * (left[len(kronrod):] + h * _NODES[:, None]))[..., None, None]
-        s, cos2, r = np.sin(u), np.cos(u) ** 2, rho[p, None, None]
-        t = np.divide(s, r, out=np.zeros_like(s), where=r != 0.0)
-        f = _closed_orthant(t * off[p] + eye - t * t * (same[p] - s * cross[p]) / cos2)
-        k = h * np.tensordot(_KRONROD_WEIGHTS, f, axes=(0, 0))
-        gap = np.concatenate([gap, np.abs(k - h * np.tensordot(_GAUSS_WEIGHTS, f, axes=(0, 0)))])
-        kronrod = np.concatenate([kronrod, k])
-        est = 0.5**n + float(end @ np.bincount(pair, kronrod, len(rho))) / (2.0 * np.pi)
-        err = float(np.abs(end[pair]) @ gap) / (2.0 * np.pi)
-        if err <= rel_tol * est:
-            return est, err
-        # halve the worst panel and every panel above an even share of rel_tol
-        panel_err = np.abs(end[pair]) * gap / (2.0 * np.pi)
-        split = panel_err > rel_tol * est / len(pair)
-        split[np.argmax(panel_err)] = True
-        if len(pair) + np.count_nonzero(split) > _PLACKETT_PANELS:
-            raise AccuracyError(f"quadrature needs over {_PLACKETT_PANELS} panels for relative "
-                                f"tolerance {rel_tol:g} (estimate {est:.6e}, error {err:.2e})",
-                                estimate=est, error_estimate=err)
-        half = width[split] / 2.0
-        pair = np.concatenate([pair[~split], pair[split], pair[split]])
-        left = np.concatenate([left[~split], left[split], left[split] + half])
-        width = np.concatenate([width[~split], half, half])
-        kronrod, gap = kronrod[~split], gap[~split]
+    i, j = _above_diagonal(n)
+    est, err = (float(v[0]) for v in _plackett_quadrature(corr[i, j][:, None], n, rel_tol,
+                                                          0.0, _RULE_15))
+    if err > rel_tol * est:
+        raise AccuracyError(f"quadrature needs over {_PLACKETT_PANELS} panels for relative "
+                            f"tolerance {rel_tol:g} (estimate {est:.6e}, error {err:.2e})",
+                            estimate=est, error_estimate=err)
+    return est, err
 
 
 def _reordered_cholesky(corr):
@@ -424,7 +523,7 @@ def _integrand(chol, pts):
 def _check_stream_keys(first, last):
     """DomainError unless the integrator seeds first..last can key Philox
     streams; checked for every block beyond MAX_CLOSED_DIM coordinates,
-    though only the lattice, not the quadrature, reads a seed."""
+    though only the lattice (7 or more), not the quadrature, reads a seed."""
     if first < 0 or last >= 2**64:
         raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
 
@@ -435,8 +534,9 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
 
     Uncoupled blocks are split off first, and each takes one route by its
     size: up to MAX_CLOSED_DIM coordinates the arcsine closed forms
-    exactly, 4 and 5 Plackett's identity by adaptive quadrature (see
-    _plackett_orthant), and more the quasi-random integrator at the seed.
+    exactly, 4 and 5 Plackett's identity by adaptive quadrature, 6 that
+    quadrature nested once (see _plackett_orthant), and 7 or more the
+    quasi-random integrator at the seed.
     Both numeric routes work to relative tolerance rel_tol, which must lie
     in (0, 1), and raise AccuracyError when their budget runs out first;
     the lattice's, max_samples evaluations, must be an integer of at least

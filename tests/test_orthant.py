@@ -4,7 +4,8 @@ Closed forms are pinned to hand-derived exact values; the quadrature of
 Plackett's identity and the quasi-random integrator are cross-checked
 against the closed forms, the plain Monte Carlo counting oracle, which
 shares no code with either, and (the quadrature) a many-node reference of
-the same identity.
+the same identity or, for 6 equicorrelated coordinates, a one-dimensional
+integral of the normal distribution function.
 """
 
 import itertools
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import ndtr
 
 from onebitmimo import (
     AccuracyError,
@@ -26,7 +29,7 @@ from onebitmimo import (
 )
 from onebitmimo import orthant
 from onebitmimo.config import sweep_config_from_dict
-from onebitmimo.model import COUPLING_TOL
+from onebitmimo.model import COUPLING_TOL, real_form
 from onebitmimo.orthant import (
     _N_SHIFTS,
     DEFAULT_MAX_SAMPLES,
@@ -254,6 +257,19 @@ def test_kronrod_rule_integrates_polynomials_exactly():
     assert abs(orthant._GAUSS_WEIGHTS @ x**14 - 1.0 / 15) > 1e-10
 
 
+def test_nested_kronrod_rule_integrates_polynomials_exactly():
+    # the 7 Kronrod nodes of the nested level are exact to degree 11, the
+    # embedded 3 Gauss nodes to degree 5, and neither beyond
+    x, kronrod, gauss = orthant._RULE_7
+    assert len(x) == 7 and np.count_nonzero(gauss) == 3
+    for d in range(12):
+        assert kronrod @ x**d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+        if d <= 5:
+            assert gauss @ x**d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+    assert abs(kronrod @ x**12 - 1.0 / 13) > 1e-10
+    assert abs(gauss @ x**6 - 1.0 / 7) > 1e-10
+
+
 def test_quadrature_equals_closed_form_on_3x3():
     # P_1 = 1/2 is constant under the substitution t R_ij = sin u, so the
     # rule integrates it exactly and the identity reduces to the arcsine sum
@@ -353,6 +369,76 @@ def test_equicorrelated_blocks_meet_a_tight_tolerance(n):
         assert abs(orthant_probability(psi, rel_tol=1e-10) - ref) <= 1e-10 * ref
 
 
+# ---------------------------------------------------------------------------
+# nested quadrature of 6 coordinates
+
+
+def equicorrelated_orthant(n, rho):
+    """P_n(rho) = int phi(z) Phi(z sqrt(rho / (1 - rho)))^n dz, the orthant
+    probability of n equicorrelated coordinates, rho >= 0."""
+    a = math.sqrt(rho / (1.0 - rho))
+    f = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * ndtr(a * z) ** n
+    return integrate.quad(f, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def estimate_general_block():
+    """S of the all-positive pattern of a 1x3 complex exponential covariance
+    (rho 0.9, phase 0.7) at 10 dB: one coupled block of 6 coordinates."""
+    lag = np.subtract.outer(np.arange(3), np.arange(3))
+    omega = 10.0 * 0.9 ** np.abs(lag) * np.exp(0.7j * lag) + np.eye(3)
+    return 0.5 * real_form(omega)
+
+
+def test_six_block_equicorrelated_meets_a_tight_tolerance(monkeypatch):
+    lattice = lattice_calls(monkeypatch)
+    for rho in (0.5, 0.9, 0.99, 0.999):
+        ref = equicorrelated_orthant(6, rho)
+        p = orthant_probability(equicorrelated(6, rho), rel_tol=1e-7)
+        assert abs(p - ref) <= 1e-7 * ref
+    assert lattice == []
+
+
+@pytest.mark.parametrize("block", ["random", "estimate-general"])
+def test_six_block_sign_patterns_sum_to_one(monkeypatch, block):
+    # flips that all take one pass of both levels cancel term by term, so
+    # their sum is 1 to rounding; the random block's first pass misses
+    # 1e-3 on some flips (up to 1.5e-2 P), whose refinement holds the sum
+    # to the quadrature's accuracy instead
+    monkeypatch.setattr(orthant, "_qmc_orthant", None)
+    if block == "random":
+        psi, one_pass_tol = random_correlation(6, np.random.default_rng(53)), 2e-2
+    else:
+        psi, one_pass_tol = estimate_general_block(), 1e-3
+    flips = [sign_pattern_flip(psi, signs) for signs in itertools.product((-1.0, 1.0), repeat=6)]
+    with monkeypatch.context() as one_pass:
+        one_pass.setattr(orthant, "_PLACKETT_PANELS", 15)
+        total = sum(orthant_probability(flip, rel_tol=one_pass_tol) for flip in flips)
+    assert abs(total - 1.0) < 1e-12
+    assert abs(sum(orthant_probability(flip, rel_tol=1e-3) for flip in flips) - 1.0) < (
+        1e-12 if block == "estimate-general" else 1e-8)
+
+
+def test_six_block_matches_counting_oracle(monkeypatch):
+    lattice = lattice_calls(monkeypatch)
+    psi = random_correlation(6, np.random.default_rng(37))
+    p = orthant_probability(psi, seed=1)
+    mc, se = orthant_probability_mc(psi, 2_000_000, seed=4)
+    assert abs(p - mc) < 5.0 * se
+    assert lattice == []
+
+
+def test_six_block_spent_panel_budget_raises_accuracy_error(monkeypatch):
+    # one panel per pair leaves no room to halve a panel or to tighten its
+    # inner integrals, and the first pass on this block misses 1e-4
+    lattice = lattice_calls(monkeypatch)
+    monkeypatch.setattr(orthant, "_PLACKETT_PANELS", 15)
+    with pytest.raises(AccuracyError) as info:
+        orthant_probability(random_correlation(6, np.random.default_rng(53)), rel_tol=1e-4)
+    assert info.value.estimate > 0.0
+    assert info.value.error_estimate > 1e-4 * info.value.estimate
+    assert lattice == []
+
+
 def record_rounds(monkeypatch):
     """Log each lattice round of the integrator as [n_pts, rows of each
     integrand call]."""
@@ -426,6 +512,18 @@ def test_reordering_is_invisible():
         perm = rng.permutation(n)
         p = orthant_probability(psi, seed=2)
         p_perm = orthant_probability(psi[np.ix_(perm, perm)], seed=2)
+        assert p_perm == pytest.approx(p, rel=1e-3)
+
+
+def test_reordering_is_invisible_on_the_lattice():
+    # the blocks of the previous test, which the quadrature now serves,
+    # on the lattice itself
+    rng = np.random.default_rng(53)
+    for n in (5, 6):
+        psi = random_correlation(n, rng)
+        perm = rng.permutation(n)
+        p = numeric_orthant_probability(psi, seed=2)
+        p_perm = numeric_orthant_probability(psi[np.ix_(perm, perm)], seed=2)
         assert p_perm == pytest.approx(p, rel=1e-3)
 
 
@@ -505,8 +603,9 @@ def test_rel_tol_outside_unit_interval_rejected(rel_tol):
 @pytest.mark.parametrize("max_samples", [0, -5, 1, 2 * _N_SHIFTS - 1, 100.0, True, "100"])
 def test_max_samples_below_one_round_rejected(max_samples):
     # checked before any block is solved, where the lattice would spend a
-    # whole round of 2 _N_SHIFTS evaluations past the budget first
-    psi = equicorrelated(6, 0.3)
+    # whole round of 2 _N_SHIFTS evaluations past the budget first; a block
+    # of 7 is the smallest the lattice serves
+    psi = equicorrelated(7, 0.3)
     for entry in (orthant_probability, positive_orthant_mean):
         with pytest.raises(DomainError, match="max_samples"):
             entry(psi, rel_tol=1e-3, max_samples=max_samples)
