@@ -39,15 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapabilityError, DimensionError, DomainError
+from .exceptions import DimensionError, DomainError
 from .model import build_pilot_model, hermitian_inverse, real_form, second_order_stats
 from .optimality import is_blmmse_optimal
 from .orthant import (
+    DEFAULT_MAX_SAMPLES,
     DEFAULT_REL_TOL,
     MAX_CLOSED_DIM,
-    MAX_QMC_DIM,
-    _coupling_components,
-    check_rel_tol,
+    _split,
     positive_orthant_mean,
 )
 from .quantizer import arcsine_matrix
@@ -170,30 +169,24 @@ def _sign_tables(stats, model, rel_tol, seed=0):
 
     evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
     (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
-    block has at most MAX_CLOSED_DIM coordinates.  rel_tol is checked here,
-    even where no integrator runs, and a block beyond MAX_QMC_DIM raises
-    CapabilityError here, before any solve.  Block j
-    keeps 2^(|B|-1) rows, indexed by its signs folded by the sign of its
-    first coordinate; a row holds its share of h_hat, its truncated mean
-    lifted by sigma_ch A^H Omega^{-1}, next to P_B.  The rotation
-    r -> j r pairs each row with a row of the same or another block, never
-    with itself.  Each evaluation solves the rows it needs that are not yet
-    filled: the smaller (block, row) of each pair, as positive_orthant_mean
-    solves block j of S, all of a block's in one stacked call at
-    seed + 1000 j.  The other row of the pair is filled with j times its
-    share, sign-folded, and the same P_B.  So the tables do not depend on
-    the fill order, and h_hat(j r) = j h_hat(r) holds bit for bit.
+    block has at most MAX_CLOSED_DIM coordinates.  orthant._split checks
+    and splits S once, as positive_orthant_mean would, so a bad rel_tol, a
+    block beyond MAX_QMC_DIM or a seed out of range is refused here, before
+    any solve.  Block j keeps 2^(|B|-1) rows, indexed by its signs folded
+    by the sign of its first coordinate; a row holds its share of h_hat,
+    its truncated mean lifted by sigma_ch A^H Omega^{-1}, next to P_B.  The
+    rotation r -> j r pairs each row with a row of the same or another
+    block, never with itself.  Each evaluation solves the rows it needs
+    that are not yet filled: the smaller (block, row) of each pair, as
+    positive_orthant_mean solves block j of S, all of a block's in one
+    stacked call at seed + 1000 j.  The other row of the pair is filled
+    with j times its share, sign-folded, and the same P_B.  So the tables
+    do not depend on the fill order, and h_hat(j r) = j h_hat(r) holds bit
+    for bit.
     """
-    check_rel_tol(rel_tol)
     t = stats.omega_b.shape[0]
-    cov = 0.5 * real_form(stats.omega_b)
-    blocks = _coupling_components(cov)
-    largest = max(len(comp) for comp in blocks)
-    if largest > MAX_QMC_DIM:
-        raise CapabilityError(
-            f"numeric posterior mean needs orthant integrals over a coupled block "
-            f"of {largest} coordinates > {MAX_QMC_DIM}"
-        )
+    cov, blocks = _split(0.5 * real_form(stats.omega_b), rel_tol, DEFAULT_MAX_SAMPLES,
+                         lambda j, size: (seed + 1000 * j, seed + 1000 * j + size))
     # column j gives coordinate k of block j the bit weight 2^k
     weights = np.zeros((2 * t, len(blocks)), dtype=np.int64)
     block_of = np.empty(2 * t, dtype=int)
@@ -267,4 +260,4 @@ def _sign_tables(stats, model, rel_tol, seed=0):
             pr *= probs[j][idx]
         return h_hat, pr
 
-    return evaluate, largest <= MAX_CLOSED_DIM
+    return evaluate, max(len(comp) for comp in blocks) <= MAX_CLOSED_DIM

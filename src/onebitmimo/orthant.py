@@ -5,8 +5,9 @@ Two quantities drive the optimal estimator: the orthant probability
     P(psi) = Pr[u > 0],  u ~ N(0, psi),
 
 and the truncated mean E[u | u > 0]; the estimator takes psi to be the
-covariance S of the sign-folded observation.  Each coupled block of psi
-takes one of three routes, none falling back on another:
+covariance S of the sign-folded observation.  Every entry point checks
+and splits psi once, in _split, before it solves any block; each coupled
+block takes one of four routes, none falling back on another:
 
 * up to dimension MAX_CLOSED_DIM = 3, the exact arcsine closed forms;
 * in dimensions 4 and 5, Plackett's (1954) identity, which writes P as
@@ -138,15 +139,6 @@ def check_rel_tol(rel_tol):
     and numeric strings included."""
     if not isinstance(rel_tol, numbers.Real) or not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must be a number in (0, 1), got {rel_tol!r}")
-
-
-def _check_max_samples(max_samples):
-    """Reject an evaluation budget that is not an integer (a bool is not)
-    or is below one lattice round of 2 _N_SHIFTS evaluations."""
-    if (isinstance(max_samples, bool) or not isinstance(max_samples, numbers.Integral)
-            or max_samples < 2 * _N_SHIFTS):
-        raise DomainError(f"max_samples must be an integer >= {2 * _N_SHIFTS}, "
-                          f"got {max_samples!r}")
 
 
 def standardize(psi):
@@ -319,9 +311,9 @@ def _plackett_quadrature(upper, n, rel_tol, abs_tol, rule):
         kronrod, gap, inner = kronrod[~split], gap[~split], inner[~split]
 
 
-def _plackett_orthant(corr, rel_tol):
-    """Orthant probability of a standardized covariance R of n <= 6
-    coordinates by Plackett's (1954) identity, as (estimate, error estimate).
+def _plackett_orthant(cov, rel_tol):
+    """Orthant probability of a covariance of n <= 6 coordinates, with
+    correlations R, by Plackett's (1954) identity, as (estimate, error).
 
     Along R(t) = I + t (R - I), dP/dR_ij = phi_2(0, 0; R_ij) P_{n-2}(R_{.|ij}),
     with R_{.|ij} the correlation of the other coordinates given
@@ -340,10 +332,10 @@ def _plackett_orthant(corr, rel_tol):
     it is at most rel_tol times the estimate, else AccuracyError once the
     block's panels would pass _PLACKETT_PANELS.
     """
-    n = corr.shape[0]
+    n = cov.shape[0]
     i, j = _above_diagonal(n)
-    est, err = (float(v[0]) for v in _plackett_quadrature(corr[i, j][:, None], n, rel_tol,
-                                                          0.0, _RULE_15))
+    upper = _correlations(cov.diagonal()[:, None], cov[i, j][:, None])
+    est, err = (float(v[0]) for v in _plackett_quadrature(upper, n, rel_tol, 0.0, _RULE_15))
     if err > rel_tol * est:
         raise AccuracyError(f"quadrature needs over {_PLACKETT_PANELS} panels for relative "
                             f"tolerance {rel_tol:g} (estimate {est:.6e}, error {err:.2e})",
@@ -453,10 +445,6 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
     rel_tol relative accuracy.
     """
     n = corr.shape[0]
-    if n > MAX_QMC_DIM:
-        raise CapabilityError(
-            f"orthant integration supports coupled dimension <= {MAX_QMC_DIM}, got {n}"
-        )
     if n == 1:
         return 0.5, 0.0
     chol = _reordered_cholesky(corr)
@@ -520,45 +508,61 @@ def _integrand(chol, pts):
     return prob
 
 
-def _check_stream_keys(first, last):
-    """DomainError unless the integrator seeds first..last can key Philox
-    streams; checked for every block beyond MAX_CLOSED_DIM coordinates,
-    though only the lattice (7 or more), not the quadrature, reads a seed."""
-    if first < 0 or last >= 2**64:
-        raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
+def _split(psi, rel_tol, max_samples, seeds):
+    """(psi, blocks): a matrix or (..., n, n) stack psi, each matrix checked
+    by _validate_spd, and the coupled blocks of the union of their coupling
+    graphs, after every check an orthant call makes before it solves one:
+    rel_tol in (0, 1), max_samples an integer (not a bool) of at least one
+    lattice round, 2 _N_SHIFTS, each block at most MAX_QMC_DIM coordinates
+    (else CapabilityError) and, past MAX_CLOSED_DIM, the Philox seeds
+    (first, last) = seeds(j, size) of block j in [0, 2**64)."""
+    check_rel_tol(rel_tol)
+    if (isinstance(max_samples, bool) or not isinstance(max_samples, numbers.Integral)
+            or max_samples < 2 * _N_SHIFTS):
+        raise DomainError(f"max_samples must be an integer >= {2 * _N_SHIFTS}, "
+                          f"got {max_samples!r}")
+    psi = np.asarray(psi, dtype=float)
+    flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
+    psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
+    blocks = _coupling_components(psi)
+    for j, comp in enumerate(blocks):
+        if len(comp) > MAX_QMC_DIM:
+            raise CapabilityError(f"no orthant integrator for a coupled block of {len(comp)} "
+                                  f"coordinates > {MAX_QMC_DIM}")
+        first, last = seeds(j, len(comp))
+        if len(comp) > MAX_CLOSED_DIM and not 0 <= first <= last < 2**64:
+            raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
+    return psi, blocks
 
 
 def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
                         seed=0):
     """Probability that a N(0, psi) vector lands in the positive orthant.
 
-    Uncoupled blocks are split off first, and each takes one route by its
-    size: up to MAX_CLOSED_DIM coordinates the arcsine closed forms
-    exactly, 4 and 5 Plackett's identity by adaptive quadrature, 6 that
-    quadrature nested once (see _plackett_orthant), and 7 or more the
-    quasi-random integrator at the seed.
+    psi is split into uncoupled blocks (_split), and each block takes one
+    route by its size: up to MAX_CLOSED_DIM coordinates the arcsine closed
+    forms exactly, 4 and 5 Plackett's identity by adaptive quadrature, 6
+    that quadrature nested once (see _plackett_orthant), and 7 or more the
+    quasi-random integrator at the seed, the only route that standardizes.
     Both numeric routes work to relative tolerance rel_tol, which must lie
     in (0, 1), and raise AccuracyError when their budget runs out first;
     the lattice's, max_samples evaluations, must be an integer of at least
-    one round, 2 _N_SHIFTS, or DomainError is raised before any block.
-    The seed must key a Philox stream, 0 <= seed < 2**64, once a block
-    has 4 or more coordinates, whichever route serves it.
+    one round, 2 _N_SHIFTS.  The seed must key a Philox stream, 0 <= seed
+    < 2**64, once a block has 4 or more coordinates, whichever route serves
+    it.  _split checks all of these before any block is solved.
     """
-    check_rel_tol(rel_tol)
-    _check_max_samples(max_samples)
-    corr = standardize(psi)
-    blocks = _coupling_components(corr)
-    if max(len(comp) for comp in blocks) > MAX_CLOSED_DIM:
-        _check_stream_keys(seed, seed)
+    if np.ndim(psi) != 2:
+        raise DimensionError(f"psi must be a 2-d array, got shape {np.shape(psi)}")
+    psi, blocks = _split(psi, rel_tol, max_samples, lambda j, size: (seed, seed))
     prob = 1.0
     for comp in blocks:
-        sub = corr[np.ix_(comp, comp)]
+        sub = psi[np.ix_(comp, comp)]
         if len(comp) <= MAX_CLOSED_DIM:
             prob *= _closed_orthant(sub)
         elif len(comp) <= _MAX_PLACKETT_DIM:
             prob *= _plackett_orthant(sub, rel_tol)[0]
         else:
-            prob *= _qmc_orthant(sub, rel_tol, max_samples, seed)[0]
+            prob *= _qmc_orthant(standardize(sub), rel_tol, max_samples, seed)[0]
     return prob
 
 
@@ -618,24 +622,17 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     g_k = P(psi_k) / sqrt(2 pi psi_kk), where psi_k is the covariance of
     the other coordinates given u_k = 0; each coordinate costs one orthant
     probability of one dimension less, plus one for P(psi).  psi may be a
-    (..., n, n) stack, such as a block's sign flips, each matrix validated
-    and given the bits it would get alone.  Uncoupled blocks of the union
-    of their coupling graphs factor the distribution and are solved
-    independently, block j with seeds offset by 1000 j.  Block j of 4 or
-    more coordinates may integrate at seeds seed + 1000 j + k,
-    k = 0..len(block); these key Philox streams, so every one of them must
-    lie in [0, 2**64), or DomainError is raised before any block is solved,
-    whichever of orthant_probability's routes would have served it.
+    (..., n, n) stack, such as a block's sign flips, each matrix given the
+    bits it would get alone.  _split checks the call, validates each matrix
+    and splits the stack on the union of their coupling graphs; uncoupled
+    blocks factor the distribution and are solved independently, block j
+    at seeds seed + 1000 j + k, k = 0..len(block).  Past MAX_CLOSED_DIM
+    coordinates these key Philox streams, so each must lie in [0, 2**64),
+    or DomainError is raised before any block is solved, whichever of
+    orthant_probability's routes would have served it.
     """
-    check_rel_tol(rel_tol)
-    _check_max_samples(max_samples)
-    psi = np.asarray(psi, dtype=float)
-    flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
-    psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
-    blocks = _coupling_components(psi)
-    for j, comp in enumerate(blocks):
-        if len(comp) > MAX_CLOSED_DIM:
-            _check_stream_keys(seed + 1000 * j, seed + 1000 * j + len(comp))
+    psi, blocks = _split(psi, rel_tol, max_samples,
+                         lambda j, size: (seed + 1000 * j, seed + 1000 * j + size))
     mean = np.empty(psi.shape[:-1])
     prob = 1.0
     for j, comp in enumerate(blocks):

@@ -205,7 +205,9 @@ def _spec_params(spec, kinds, what):
     """(kind, parameters) of a {"kind": ..., ...} spec, the parameters the
     spec leaves out set to their defaults in kinds[kind].
 
-    DomainError for a kind missing from kinds, or a key its kind does not read.
+    DomainError for a kind missing from kinds, a key its kind does not read,
+    or a value off the number rule: a scalar parameter must be a number and
+    a matrix one (default None) hold only numbers, never a bool or a string.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
@@ -214,6 +216,12 @@ def _spec_params(spec, kinds, what):
     unread = sorted(set(params) - set(kinds[kind]))
     if unread:
         raise DomainError(f"{what} kind {kind!r} does not read keys {unread}")
+    for key, value in params.items():
+        if kinds[kind][key] is not None:
+            _check_number(value, f"{what} parameter {key!r} must be a number")
+        elif value is not None:
+            for x in np.ravel(np.array(value, dtype=object)):
+                _check_number(x, f"{what} parameter {key!r} entries must be numbers")
     return kind, {**kinds[kind], **params}
 
 

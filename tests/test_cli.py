@@ -155,6 +155,16 @@ def test_bad_config_reports_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_spec_parameter_of_the_wrong_type_reports_error(tmp_path, capsys):
+    # a list where a number belongs: an error line naming the key, not a TypeError
+    cfg = write(tmp_path, SIMO3_CFG.replace("rho: 0.5", "rho: [0.5]"), "list_rho.yaml")
+    out = tmp_path / "never.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'rho' must be a number" in err
+    assert not out.exists()
+
+
 def test_overflowing_snr_reports_error(tmp_path, capsys):
     # 4000 dB has no finite linear value: an error line, not a traceback
     cfg = write(tmp_path, SCALAR_CFG.replace("[0, 10]", "[0, 4000]"), "grid.yaml")

@@ -126,8 +126,10 @@ def test_closed_forms_give_each_matrix_of_a_stack_its_own_bits():
 
 
 def test_scale_invariance():
+    # every route reads its block's correlations from the covariance:
+    # closed forms, quadrature (4, 5), nested quadrature (6), lattice (7)
     rng = np.random.default_rng(3)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6, 7):
         psi = random_correlation(n, rng)
         scale = np.diag(rng.uniform(0.1, 10.0, size=n))
         p_std = orthant_probability(psi, seed=5)
@@ -579,6 +581,27 @@ def test_dimension_cap():
     psi = equicorrelated(MAX_QMC_DIM + 1, 0.3)
     with pytest.raises(CapabilityError):
         orthant_probability(psi)
+
+
+def test_block_over_the_cap_refused_before_any_block(monkeypatch):
+    # a servable 4-block first, then one beyond MAX_QMC_DIM: the call is
+    # refused before the 4-block reaches the quadrature
+    calls = []
+    quadrature = orthant._plackett_orthant
+
+    def spy(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(orthant, "_plackett_orthant", spy)
+    psi = np.zeros((MAX_QMC_DIM + 5, MAX_QMC_DIM + 5))
+    psi[:4, :4] = equicorrelated(4, 0.3)
+    psi[4:, 4:] = equicorrelated(MAX_QMC_DIM + 1, 0.3)
+    for entry in (orthant_probability, positive_orthant_mean):
+        with pytest.raises(CapabilityError,
+                           match=f"block of {MAX_QMC_DIM + 1} coordinates > {MAX_QMC_DIM}"):
+            entry(psi)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

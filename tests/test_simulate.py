@@ -298,10 +298,19 @@ def test_config_validation():
         scalar_config(seed=-1)
     with pytest.raises(DomainError):
         scalar_config(rel_tol=2.0)
-    # int() would read True as 1 and truncate 2.5; float() would read "10"
+    # int() would read True as 1 and truncate 2.5; float() would read "10";
+    # a spec parameter follows the same rule, entry by entry in a matrix
+    exponential = lambda rho: {"kind": "exponential", "rho": rho}
     for key, value in (("trials", True), ("trials", 2.5), ("seed", 2.5), ("seed", True),
                        ("snr_grid_db", ("10",)), ("snr_grid_db", (True,)),
-                       ("rel_tol", "1e-3"), ("rel_tol", True)):
+                       ("rel_tol", "1e-3"), ("rel_tol", True),
+                       ("covariance", exponential([0.5])), ("covariance", exponential(None)),
+                       ("covariance", exponential({"a": 1})), ("covariance", exponential("0.5")),
+                       ("covariance", exponential(True)),
+                       ("covariance", {"kind": "bessel-tx", "delta": None}),
+                       ("covariance", {"kind": "custom", "real": [["1.0"]]}),
+                       ("covariance", {"kind": "custom", "real": [[1.0]], "imag": [[False]]}),
+                       ("pilots", {"kind": "explicit", "real": [[1.0, [2.0]]]})):
         with pytest.raises(DomainError, match="must be (an integer|a number|numbers)"):
             scalar_config(**{key: value})
 
