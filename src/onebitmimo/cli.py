@@ -28,7 +28,7 @@ from .orthant import (
     positive_orthant_mean,
 )
 from .quantizer import observation_from_signs, quantize
-from .simulate import build_point, emit_results, run_mse_sweep
+from .simulate import _number_array, build_point, emit_results, run_mse_sweep
 
 
 def _fmt_vector(v):
@@ -38,17 +38,20 @@ def _fmt_vector(v):
 
 
 def _load_observation(path):
+    """The observation an observation file holds; its entries must be
+    numbers, never a bool or a string, as spec parameters must."""
     raw = config_mod.load_yaml(path, "observation file")
     if not isinstance(raw, dict):
         raise DomainError("observation file must be a mapping")
+
+    def entries(key):
+        return _number_array(raw[key], f"observation {key!r} entries must be numbers")
+
     if "r_real" in raw and "r_imag" in raw:
-        return observation_from_signs(
-            np.asarray(raw["r_real"], dtype=float),
-            np.asarray(raw["r_imag"], dtype=float),
-        )
+        return observation_from_signs(entries("r_real"), entries("r_imag"))
     if "b_real" in raw:
-        b_real = np.asarray(raw["b_real"], dtype=float)
-        b_imag = np.asarray(raw.get("b_imag", np.zeros_like(b_real)), dtype=float)
+        b_real = entries("b_real")
+        b_imag = entries("b_imag") if "b_imag" in raw else np.zeros_like(b_real)
         return quantize(b_real + 1j * b_imag)
     raise DomainError(
         "observation file needs either r_real/r_imag sign vectors or "
@@ -128,9 +131,9 @@ def _load_matrix(path):
     except yaml.YAMLError:
         raw = None
     if isinstance(raw, dict) and "matrix" in raw:
-        return np.asarray(raw["matrix"], dtype=float)
+        return _number_array(raw["matrix"], "matrix file 'matrix' entries must be numbers")
     if isinstance(raw, list):
-        return np.asarray(raw, dtype=float)
+        return _number_array(raw, "matrix file entries must be numbers")
     return np.loadtxt(io.StringIO(text), ndmin=2)
 
 

@@ -137,7 +137,7 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     model = build_pilot_model([[pilot]], 3)
     evaluate, _ = _sign_tables(second_order_stats(model, sigma.real, noise_var), model,
                                DEFAULT_REL_TOL)
-    h_hat, pr = evaluate(r_real.reshape(-1, 3), r_imag.reshape(-1, 3))
+    h_hat, pr = evaluate((r_real + 1j * r_imag).reshape(-1, 3))
     return h_hat.reshape(r_real.shape), pr.reshape(r_real.shape[:-1])
 
 
@@ -157,7 +157,7 @@ def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", see
     if method not in ("auto", "general"):
         raise DomainError(f"method must be 'auto' or 'general', got {method!r}")
     evaluate, closed = _sign_tables(stats, model, rel_tol, seed)
-    h_hat, pr = evaluate(obs.r_real[None, :], obs.r_imag[None, :])
+    h_hat, pr = evaluate(obs.r[None, :])
     return Estimate(h_hat=h_hat[0],
                     estimator="mmse-closed" if method == "auto" and closed else "mmse-general",
                     pr_r=float(pr[0]))
@@ -167,33 +167,34 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     """(evaluate, closed): the per-block sign tables of the posterior mean,
     which rest on the three symmetries the module docstring names.
 
-    evaluate(r_real, r_imag) maps (n, tau N_R) sign arrays to h_hat,
-    (n, channel_len), and Pr(r) = prod_B P_B, (n,).  closed says every
-    block has at most MAX_CLOSED_DIM coordinates.  orthant._split checks
-    and splits S once, as positive_orthant_mean would, so a bad rel_tol, a
-    block beyond MAX_QMC_DIM or a seed out of range is refused here, before
-    any solve.  Block j keeps 2^(|B|-1) rows, indexed by its signs folded
-    by the sign of its first coordinate; a row holds its share of h_hat,
-    its truncated mean lifted by sigma_ch A^H Omega^{-1}, next to P_B.  The
-    rotation r -> j r pairs each row with a row of the same or another
-    block, never with itself.  Each evaluation solves the rows it needs
-    that are not yet filled: the smaller (block, row) of each pair, as
+    evaluate(r) maps an (n, tau N_R) complex sign array r = sgn(Re b) + j
+    sgn(Im b) to h_hat, (n, channel_len), and Pr(r) = prod_B P_B, (n,).
+    closed says every block has at most MAX_CLOSED_DIM coordinates.
+    orthant._split checks and splits S once, as positive_orthant_mean would,
+    so a bad rel_tol, a block beyond MAX_QMC_DIM or a seed out of range is
+    refused here, before any solve.  Block j keeps 2^(|B|-1) rows, indexed
+    by its signs folded by the sign of its first coordinate; a row holds its
+    share of h_hat, its truncated mean lifted by sigma_ch A^H Omega^{-1},
+    next to P_B.  The rotation r -> j r pairs each row with a row of the same
+    or another block, never with itself.  Each evaluation solves the rows it
+    needs that are not yet filled: the smaller (block, row) of each pair, as
     positive_orthant_mean solves block j of S, all of a block's in one
-    stacked call at seed + 1000 j.  The other row of the pair is filled
-    with j times its share, sign-folded, and the same P_B.  So the tables
-    do not depend on the fill order, and h_hat(j r) = j h_hat(r) holds bit
-    for bit.
+    stacked call at seed + 1000 j.  The other row of the pair is filled with
+    j times its share, sign-folded, and the same P_B.  So the tables do not
+    depend on the fill order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
     cov, blocks = _split(0.5 * real_form(stats.omega_b), rel_tol, DEFAULT_MAX_SAMPLES,
                          lambda j, size: (seed + 1000 * j, seed + 1000 * j + size))
-    # column j gives coordinate k of block j the bit weight 2^k
-    weights = np.zeros((2 * t, len(blocks)), dtype=np.int64)
+    # column j gives coordinate k of block j the bit weight 2^k, on the row
+    # that coordinate takes in the interleaved (Re, Im) float view of r
+    weights = np.zeros((2 * t, len(blocks)))
     block_of = np.empty(2 * t, dtype=int)
     for j, comp in enumerate(blocks):
         weights[comp, j] = 1 << np.arange(len(comp))
         block_of[comp] = j
-    all_bits = weights.sum(axis=0)
+    all_bits = weights.sum(axis=0).astype(np.int64)
+    weights = weights.reshape(2, t, -1).transpose(1, 0, 2).reshape(2 * t, -1)
     shares = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
               for comp in blocks]
     probs = [np.empty(len(share)) for share in shares]
@@ -206,10 +207,11 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         signs[:, comp[1:]] = 1.0 - 2.0 * ((rows[:, None] >> np.arange(len(comp) - 1)) & 1)
         return signs
 
-    def fold(signs):
-        # per block of (n, 2t) signs: the row, folded by the first
-        # coordinate's sign, and that sign's bit
-        bits = (signs < 0) @ weights
+    def fold(r):
+        # per block of (n, t) complex signs: the row, folded by the first
+        # coordinate's sign, and that sign's bit.  One float matmul finds
+        # every row: each is an integer below 2^16, exact in float64
+        bits = ((r.view(np.float64) < 0) @ weights).astype(np.int64)
         first = bits & 1
         return (bits ^ (first * all_bits)) >> 1, first
 
@@ -222,7 +224,7 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     for j, share in enumerate(shares):
         rows = np.arange(len(share))
         signs = unfold(j, rows)
-        jr_rows, first = fold(np.concatenate([-signs[:, t:], signs[:, :t]], axis=1))
+        jr_rows, first = fold(-signs[:, t:] + 1j * signs[:, :t])
         image.append(jr_rows[:, partner[j]])
         flip.append(1.0 - 2.0 * first[:, partner[j]])
         own.append((j < partner[j]) | ((j == partner[j]) & (rows < image[j])))
@@ -247,10 +249,10 @@ def _sign_tables(stats, model, rel_tol, seed=0):
         probs[j][rows] = probs[jr][jr_rows] = solved.prob
         filled[j][rows] = filled[jr][jr_rows] = True
 
-    def evaluate(r_real, r_imag):
-        rows, first = fold(np.concatenate([r_real, r_imag], axis=1))
-        h_hat = np.zeros((r_real.shape[0], model.dims.channel_len), dtype=complex)
-        pr = np.ones(r_real.shape[0])
+    def evaluate(r):
+        rows, first = fold(r)
+        h_hat = np.zeros((len(r), model.dims.channel_len), dtype=complex)
+        pr = np.ones(len(r))
         for j in range(len(blocks)):
             idx = rows[:, j]
             missing = idx[~filled[j][idx]]

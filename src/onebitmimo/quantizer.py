@@ -40,8 +40,9 @@ class QuantizedObservation:
 
 
 def sgn(x):
-    """Elementwise sign of a real array with the tie sgn(0) = +1."""
-    return np.where(x >= 0.0, 1.0, -1.0)
+    """Elementwise sign of a real array with the tie sgn(0) = +1: +-0 maps
+    to +1, nan to -1 and +-inf to +-1."""
+    return 2.0 * (x >= 0.0) - 1.0
 
 
 def quantize(b):
@@ -51,7 +52,9 @@ def quantize(b):
         raise DimensionError(f"observation must be a non-empty 1-d vector, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise DomainError("observation contains NaN or infinite entries")
-    return QuantizedObservation(r_real=sgn(b.real), r_imag=sgn(b.imag))
+    # one sign pass over the interleaved (Re, Im) parts of b
+    signs = sgn(np.ascontiguousarray(b).view(np.float64))
+    return QuantizedObservation(r_real=signs[0::2], r_imag=signs[1::2])
 
 
 def observation_from_signs(r_real, r_imag):

@@ -13,8 +13,12 @@ bit-identical for any batching of the work.
 Neither the channel draw h nor the noise draw n depends on the SNR, so all
 points of a sweep share each trial's h and n (common random numbers): each
 chunk of trials is drawn once, and only the observation b = A h + n is
-formed per point.  A sweep keeps two exact sums per (point, estimator) and
-no per-trial values, so its memory does not grow with the trial count.
+formed per point and quantized there in one sign pass.  Each distinct
+evaluator of a point runs once per chunk: at an exactly linear point mmse
+and blmmse are one linear map, evaluated once, and both rows are read from
+one pair of exact sums.  A sweep keeps two exact sums per (point,
+evaluator) and no per-trial values, so its memory does not grow with the
+trial count.
 """
 
 import hashlib
@@ -139,6 +143,14 @@ def _check_number(value, message, integral=False):
         raise DomainError(f"{message}, got {value!r}")
 
 
+def _number_array(value, message):
+    """value as a float array once each of its entries passes
+    _check_number(entry, message)."""
+    for x in np.ravel(np.array(value, dtype=object)):
+        _check_number(x, message)
+    return np.asarray(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one MSE sweep depends on.
@@ -220,8 +232,7 @@ def _spec_params(spec, kinds, what):
         if kinds[kind][key] is not None:
             _check_number(value, f"{what} parameter {key!r} must be a number")
         elif value is not None:
-            for x in np.ravel(np.array(value, dtype=object)):
-                _check_number(x, f"{what} parameter {key!r} entries must be numbers")
+            _number_array(value, f"{what} parameter {key!r} entries must be numbers")
     return kind, {**kinds[kind], **params}
 
 
@@ -321,13 +332,16 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
 
 
 def _resolve_estimators(names, stats, model, rel_tol):
-    """Turn estimator names into batch evaluators (r_real, r_imag) -> h_hat.
+    """Turn estimator names into batch evaluators r -> h_hat, r the (n, tau
+    N_R) complex sign array of a chunk of trials.
 
     Two paths: blmmse, and mmse where it is exactly linear, apply one
     linear map W per point: mmse_linear_operator's when mmse is asked for
-    and linear, else blmmse_operator's, built only when blmmse needs it;
-    every other mmse point reads the per-block sign tables that
-    mmse_estimate reads one row of (estimators._sign_tables).  Those rest
+    and linear, else blmmse_operator's, built only when blmmse needs it.
+    Both names then map to the same evaluator object, which the sweep runs
+    once per chunk for both rows.  Every other mmse point reads the
+    per-block sign tables that mmse_estimate reads one row of
+    (estimators._sign_tables).  Those rest
     on the odd symmetry of each coupled block B of S and on the rotation
     r -> j r: at most 2^(|B|-2) solves for a block the rotation maps onto
     itself, and 2^(|B|-1) for each pair of blocks it maps onto each other,
@@ -337,10 +351,10 @@ def _resolve_estimators(names, stats, model, rel_tol):
     evals = {}
     if "mmse" in names and w is None:
         evaluate, _ = _sign_tables(stats, model, rel_tol)
-        evals["mmse"] = lambda rr, ri: evaluate(rr, ri)[0]
+        evals["mmse"] = lambda r: evaluate(r)[0]
     if "blmmse" in names and w is None:
         w = blmmse_operator(stats, model)
-    linear = lambda rr, ri: (rr + 1j * ri) @ w.T
+    linear = lambda r: r @ w.T
     return {name: evals.get(name, linear) for name in names}
 
 
@@ -365,7 +379,10 @@ def run_mse_sweep(config):
     and the sweep's memory does not grow with config.trials.  Every point
     reads the same h and n for a trial: each chunk is drawn once and each
     point forms its own b = A h + n from the draw, so a point's row equals
-    that of a sweep over that point alone.
+    that of a sweep over that point alone.  A point quantizes each chunk
+    once, and runs each distinct evaluator of _resolve_estimators once on
+    it: at an exactly linear point the mmse and blmmse rows are read from
+    one pair of sums, so they are equal.
     """
     dims = config.dims
     trials = int(config.trials)
@@ -384,32 +401,32 @@ def run_mse_sweep(config):
     # h and n read only the seed, the trial, sigma_ch and NOISE_VAR, which
     # no point changes, so any point's stats can draw them.
     _, draw_stats, draw_model, _ = points[0]
-    # per (point, estimator): exact sums of v and v**2, v a trial's squared
-    # error per channel coefficient
-    sums = [{name: (_ExactSum(), _ExactSum()) for name in config.estimators} for _ in points]
+    # per (point, distinct evaluator): exact sums of v and v**2, v a trial's
+    # squared error per channel coefficient
+    sums = [{evaluate: (_ExactSum(), _ExactSum()) for evaluate in dict.fromkeys(evals.values())}
+            for *_, evals in points]
     done = 0
     while done < trials:
         n = min(_CHUNK, trials - done)
         h, noise = sample_realizations(
             draw_stats, draw_model, config.seed, n, start_stream=done
         )
-        for (_, _, model, evals), point_sums in zip(points, sums):
-            b = observe(model, h, noise)
-            rr = sgn(b.real)
-            ri = sgn(b.imag)
-            for name, evaluate in evals.items():
-                diff = evaluate(rr, ri) - h
+        for (_, _, model, _), point_sums in zip(points, sums):
+            # one sign pass over the interleaved (Re, Im) parts of b; viewed
+            # as complex, they are r = sgn(Re b) + j sgn(Im b)
+            r = sgn(observe(model, h, noise).view(np.float64)).view(np.complex128)
+            for evaluate, (sum_v, sum_sq) in point_sums.items():
+                diff = evaluate(r) - h
                 v = (
                     np.einsum("ij,ij->i", diff.real, diff.real)
                     + np.einsum("ij,ij->i", diff.imag, diff.imag)
                 ) / dims.channel_len
-                sum_v, sum_sq = point_sums[name]
                 sum_v.add(v)
                 sum_sq.add(v * v)
         done += n
-    for (snr_db, _, _, _), point_sums in zip(points, sums):
-        for name in config.estimators:
-            sum_v, sum_sq = point_sums[name]
+    for (snr_db, _, _, evals), point_sums in zip(points, sums):
+        for name, evaluate in evals.items():
+            sum_v, sum_sq = point_sums[evaluate]
             mean = sum_v.value() / trials
             mean_sq = sum_sq.value() / trials
             stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / trials)

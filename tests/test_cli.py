@@ -214,3 +214,31 @@ def test_malformed_observation_yaml_reports_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "truncated_obs.yaml" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("r_real: [true]\nr_imag: [1]\n", "r_real"),
+    ("r_real: [1]\nr_imag: ['1']\n", "r_imag"),
+    ("b_real: ['-0.3']\n", "b_real"),
+    ("b_real: [0.5]\nb_imag: [true]\n", "b_imag"),
+    ("b_real: [0.5]\nb_imag: null\n", "b_imag"),
+])
+def test_observation_entry_that_is_no_number_reports_error(tmp_path, capsys, text, key):
+    # a bool or a string is no sign and no observation, whatever float() makes of it
+    cfg = write(tmp_path, SCALAR_CFG, "cfg.yaml")
+    obs = write(tmp_path, text, "obs.yaml")
+    assert main(["estimate", "--config", cfg, "--obs", obs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key!r} entries must be numbers" in err
+
+
+@pytest.mark.parametrize("text", [
+    "matrix: [[true, '0.5'], ['0.5', 1]]\n",
+    "- [1.0, '0.5']\n- [0.5, 1.0]\n",
+])
+def test_matrix_entry_that_is_no_number_reports_error(tmp_path, capsys, text):
+    mat = write(tmp_path, text, "psi.yaml")
+    assert main(["orthant", "--matrix", mat]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "entries must be numbers" in captured.err
+    assert "orthant probability" not in captured.out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onebitmimo import DomainError, observation_from_signs, quantize
-from onebitmimo.quantizer import arcsine_matrix
+from onebitmimo.quantizer import arcsine_matrix, sgn
 
 
 def normalized_sign_covariance(omega_b):
@@ -18,6 +18,18 @@ def test_sign_convention_zero_maps_to_plus_one():
     np.testing.assert_array_equal(obs.r_real, [1.0, -1.0, 1.0, 1.0])
     np.testing.assert_array_equal(obs.r_imag, [-1.0, 1.0, 1.0, -1.0])
     np.testing.assert_array_equal(obs.r, obs.r_real + 1j * obs.r_imag)
+    # the batch form a sweep takes: one sign pass over the interleaved
+    # (Re, Im) parts of a (rows, t) array, viewed as complex, is r row by row
+    batch = np.empty((3, 4), dtype=complex)
+    batch.real = [[1.0, -3.0, 0.0, -0.0], [-0.0, 0.0, 2.0, -1.0], [0.0, -0.0, -0.0, 0.0]]
+    batch.imag = [[-2.0, 0.0, 0.0, -1.0], [-0.0, 0.0, -0.0, 5.0], [0.0, 0.0, -0.0, -0.0]]
+    r = sgn(batch.view(np.float64)).view(np.complex128)
+    assert r.shape == batch.shape
+    for row, r_row in zip(batch, r):
+        np.testing.assert_array_equal(r_row, quantize(row).r)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-324])
+    np.testing.assert_array_equal(sgn(special), [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(sgn(special), np.where(special >= 0.0, 1.0, -1.0))
 
 
 def test_quantize_is_idempotent():

@@ -121,8 +121,8 @@ def test_non_finite_error_reads_as_under_fsum(monkeypatch, bad):
         evals = resolve(*args)
         blmmse = evals["blmmse"]
 
-        def evaluate(rr, ri):
-            out = blmmse(rr, ri)
+        def evaluate(r):
+            out = blmmse(r)
             out[3, 0] = bad
             return out
 
@@ -136,6 +136,41 @@ def test_non_finite_error_reads_as_under_fsum(monkeypatch, bad):
     assert rows["mmse"] == next(r for r in clean if r.estimator == "mmse")
     assert repr(rows["blmmse"].mse) == repr(bad)
     assert math.isnan(rows["blmmse"].stderr)
+
+
+def test_linear_point_evaluates_its_shared_map_once_per_chunk(monkeypatch):
+    # at an exactly linear point mmse and blmmse resolve to one linear map:
+    # the sweep runs it once per point and chunk, and reads both rows from
+    # the same sums
+    cfg = dataclasses.replace(load_sweep_config(os.path.join(CONFIGS, "scalar.yaml")),
+                              trials=1_000)
+    monkeypatch.setattr(simulate, "_CHUNK", 400)
+    clean = run_mse_sweep(cfg).rows
+    resolve = simulate._resolve_estimators
+    calls = []
+
+    def spied(*args):
+        evals = resolve(*args)
+        shared = evals["mmse"]
+        assert evals["blmmse"] is shared
+
+        def spy(*evaluate_args):
+            calls.append(len(evaluate_args[0]))
+            return shared(*evaluate_args)
+
+        return {name: spy for name in evals}
+
+    monkeypatch.setattr(simulate, "_resolve_estimators", spied)
+    rows = run_mse_sweep(cfg).rows
+    points = len(cfg.snr_grid_db)
+    assert calls == [n for n in (400, 400, 200) for _ in range(points)]
+    assert rows == clean
+    by_point = {}
+    for row in rows:
+        by_point.setdefault(row.snr_db, {})[row.estimator] = row
+    assert len(by_point) == points
+    for pair in by_point.values():
+        assert dataclasses.replace(pair["mmse"], estimator="blmmse") == pair["blmmse"]
 
 
 def test_sweep_memory_does_not_grow_with_trials(monkeypatch):
@@ -564,9 +599,9 @@ def _tables_and_oracle(cfg, snr_db):
 
 def _assert_flip_and_rotation_exact(evaluate, r_real, r_imag):
     # h_hat(-r) = -h_hat(r), h_hat(j r) = j h_hat(r) and equal Pr, bit for bit
-    h_hat, pr = evaluate(r_real, r_imag)
-    for image, factor in (((-r_real, -r_imag), -1.0), ((-r_imag, r_real), 1j)):
-        h_image, pr_image = evaluate(*image)
+    h_hat, pr = evaluate(r_real + 1j * r_imag)
+    for (image_real, image_imag), factor in (((-r_real, -r_imag), -1.0), ((-r_imag, r_real), 1j)):
+        h_image, pr_image = evaluate(image_real + 1j * image_imag)
         assert np.array_equal(h_image, factor * h_hat)
         assert np.array_equal(pr_image, pr)
 
@@ -583,7 +618,7 @@ def test_sign_tables_equal_the_reduction_on_every_pattern():
         stats, _ = build_point(cfg, snr_db)
         assert [list(b) for b in _coupling_components(real_form(stats.omega_b))] == [[0, 1, 2, 3]]
         evaluate, oracle = _tables_and_oracle(cfg, snr_db)
-        h_hat, pr = evaluate(r_real, r_imag)
+        h_hat, pr = evaluate(r_real + 1j * r_imag)
         h_oracle, pr_oracle = oracle(r_real[solved], r_imag[solved])
         assert np.array_equal(h_hat[solved], h_oracle)
         assert np.array_equal(pr[solved], pr_oracle)
@@ -599,7 +634,7 @@ def test_sign_tables_equal_the_reduction_on_two_numeric_blocks():
     signs = np.where(np.random.default_rng(11).random((24, 8)) < 0.5, -1.0, 1.0)
     r_real, r_imag = signs[:, :4], signs[:, 4:]
     evaluate, oracle = _tables_and_oracle(cfg, 10.0)
-    h_hat, _ = evaluate(r_real, r_imag)
+    h_hat, _ = evaluate(r_real + 1j * r_imag)
     assert np.array_equal(h_hat.real, oracle(r_real, r_imag)[0].real)
     assert np.array_equal(h_hat.imag, oracle(r_imag, r_imag)[0].real)
     _assert_flip_and_rotation_exact(evaluate, r_real, r_imag)
