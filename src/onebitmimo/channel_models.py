@@ -10,15 +10,16 @@ import numpy as np
 from scipy.special import j0
 
 from .exceptions import DimensionError, DomainError
+from .model import check_number
 
 
 def exponential_covariance(n, rho):
     """Real exponential correlation matrix: entry (i, k) = rho^|i-k|."""
-    n = int(n)
+    n = check_number(n, "n", integral=True)
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
-    rho = float(rho)
-    if not np.isfinite(rho) or not -1.0 < rho < 1.0:
+    rho = check_number(rho, "rho")
+    if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
     idx = np.arange(n)
     return rho ** np.abs(idx[:, None] - idx[None, :])
@@ -33,18 +34,16 @@ def bessel_tx_covariance(n_tx, delta, theta, gamma_max):
     the angular spread.  gamma_max = 0 collapses to the rank-one steering
     outer product; the result is then only positive semidefinite.
     """
-    n_tx = int(n_tx)
+    n_tx = check_number(n_tx, "n_tx", integral=True)
     if n_tx < 1:
         raise DimensionError(f"n_tx must be >= 1, got {n_tx}")
-    delta = float(delta)
-    theta = float(theta)
-    gamma_max = float(gamma_max)
-    if not np.isfinite(delta) or delta <= 0.0:
+    delta = check_number(delta, "delta")
+    if not 0.0 < delta < np.inf:
         raise DomainError(f"delta must be > 0, got {delta}")
+    theta = check_number(theta, "theta")
     if not np.isfinite(theta):
         raise DomainError("theta must be finite")
-    if not np.isfinite(gamma_max) or gamma_max < 0.0:
-        raise DomainError(f"gamma_max must be >= 0, got {gamma_max}")
+    gamma_max = check_number(gamma_max, "gamma_max", low=0.0)
     diff = np.arange(n_tx)[None, :] - np.arange(n_tx)[:, None]  # k - i
     mag = j0(2.0 * np.pi * diff * delta * gamma_max * np.cos(theta))
     phase = np.exp(-2j * np.pi * diff * delta * np.sin(theta))

@@ -19,7 +19,7 @@ import yaml
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
 from .exceptions import DomainError
-from .model import observe, sample_realizations
+from .model import number_array, observe, sample_realizations
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_MAX_SAMPLES,
@@ -28,7 +28,7 @@ from .orthant import (
     positive_orthant_mean,
 )
 from .quantizer import observation_from_signs, quantize
-from .simulate import _number_array, build_point, emit_results, run_mse_sweep
+from .simulate import build_point, emit_results, run_mse_sweep
 
 
 def _fmt_vector(v):
@@ -45,7 +45,7 @@ def _load_observation(path):
         raise DomainError("observation file must be a mapping")
 
     def entries(key):
-        return _number_array(raw[key], f"observation {key!r} entries must be numbers")
+        return number_array(raw[key], f"observation {key!r}")
 
     if "r_real" in raw and "r_imag" in raw:
         return observation_from_signs(entries("r_real"), entries("r_imag"))
@@ -131,9 +131,9 @@ def _load_matrix(path):
     except yaml.YAMLError:
         raw = None
     if isinstance(raw, dict) and "matrix" in raw:
-        return _number_array(raw["matrix"], "matrix file 'matrix' entries must be numbers")
+        return number_array(raw["matrix"], "matrix file 'matrix'")
     if isinstance(raw, list):
-        return _number_array(raw, "matrix file entries must be numbers")
+        return number_array(raw, "matrix file")
     return np.loadtxt(io.StringIO(text), ndmin=2)
 
 

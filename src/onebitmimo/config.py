@@ -9,7 +9,7 @@ real/imag arrays.
 import yaml
 
 from .exceptions import DomainError
-from .model import SystemDims
+from .model import SystemDims, check_number
 from .simulate import SweepConfig, snr_from_db
 
 _ALLOWED_KEYS = {
@@ -108,7 +108,7 @@ def point_snr_db(raw, config):
     """SNR used by the single-point commands: snr_db if present, else the
     first grid entry."""
     if "snr_db" in raw:
-        snr_db = float(_require(raw, "snr_db", (int, float), "number"))
+        snr_db = check_number(raw["snr_db"], "config key 'snr_db'")
         snr_from_db(snr_db)
         return snr_db
-    return float(config.snr_grid_db[0])
+    return check_number(config.snr_grid_db[0], "snr_grid_db[0]")

@@ -171,8 +171,8 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     sgn(Im b) to h_hat, (n, channel_len), and Pr(r) = prod_B P_B, (n,).
     closed says every block has at most MAX_CLOSED_DIM coordinates.
     orthant._split checks and splits S once, as positive_orthant_mean would,
-    so a bad rel_tol, a block beyond MAX_QMC_DIM or a seed out of range is
-    refused here, before any solve.  Block j keeps 2^(|B|-1) rows, indexed
+    so a bad rel_tol, a block beyond MAX_QMC_DIM or a bad seed is refused
+    here, before any solve.  Block j keeps 2^(|B|-1) rows, indexed
     by its signs folded by the sign of its first coordinate; a row holds its
     share of h_hat, its truncated mean lifted by sigma_ch A^H Omega^{-1},
     next to P_B.  The rotation r -> j r pairs each row with a row of the same
@@ -184,8 +184,8 @@ def _sign_tables(stats, model, rel_tol, seed=0):
     depend on the fill order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
-    cov, blocks = _split(0.5 * real_form(stats.omega_b), rel_tol, DEFAULT_MAX_SAMPLES,
-                         lambda j, size: (seed + 1000 * j, seed + 1000 * j + size))
+    cov, blocks = _split(0.5 * real_form(stats.omega_b), rel_tol, DEFAULT_MAX_SAMPLES, seed,
+                         tallis=True)
     # column j gives coordinate k of block j the bit weight 2^k, on the row
     # that coordinate takes in the interleaved (Re, Im) float view of r
     weights = np.zeros((2 * t, len(blocks)))

@@ -12,6 +12,8 @@ downstream (quantization, orthant integrals, estimators) works off the
 second-order statistics bundled in :class:`SecondOrderStats`.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,32 @@ STREAM_CONTRACT = (
     "philox4x64 key=(seed,0), normal=ndtri(((word>>12)+0.5)*2^-52), "
     "trial t at words [t*w,(t+1)*w)"
 )
+
+
+def _is_number(value, integral):
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_number(value, name, integral=False, low=None, high=math.inf):
+    """The package's one number rule: value, a Python int if integral else a
+    float, once it is a real number (an integer if integral), never a bool or
+    a string, and in [low, high) when low is given; else DomainError."""
+    if not _is_number(value, integral):
+        what = "an integer" if integral else "a number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    if low is not None and not low <= value < high:
+        bound = "2**64" if high == 2**64 else high
+        raise DomainError(f"{name} must lie in [{low}, {bound}), got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def number_array(value, name):
+    """value as a float array once every entry of it is a number."""
+    for x in np.ravel(np.array(value, dtype=object)):
+        if not _is_number(x, False):
+            raise DomainError(f"{name} entries must be numbers, got {x!r}")
+    return np.asarray(value, dtype=float)
 
 
 def _checked_matrix(m, name):
@@ -131,7 +159,7 @@ def build_pilot_model(pilots, n_rx):
     antenna count."""
     pilots = _checked_matrix(np.asarray(pilots, dtype=complex), "pilots")
     n_pilots, n_tx = pilots.shape
-    dims = SystemDims(n_tx=n_tx, n_rx=int(n_rx), n_pilots=n_pilots)
+    dims = SystemDims(n_tx=n_tx, n_rx=n_rx, n_pilots=n_pilots)
     a = np.kron(pilots, np.eye(n_rx))
     return SystemModel(dims=dims, pilots=pilots, kron_matrix=a)
 
@@ -181,9 +209,7 @@ def second_order_stats(model, sigma_ch, noise_var):
     noise_var = 0 is allowed as long as A sigma_ch A^H stays invertible;
     otherwise SingularMatrixError is raised by the eigenvalue guard.
     """
-    noise_var = float(noise_var)
-    if not np.isfinite(noise_var) or noise_var < 0.0:
-        raise DomainError(f"noise_var must be finite and >= 0, got {noise_var}")
+    noise_var = check_number(noise_var, "noise_var", low=0.0)
     sigma_ch = check_hermitian(np.asarray(sigma_ch, dtype=complex), "sigma_ch")
     if sigma_ch.shape[0] != model.dims.channel_len:
         raise DimensionError(
@@ -208,16 +234,14 @@ def _philox(seed, stream, word=0):
     """Philox4x64 bit generator keyed by the uint64 pair (seed, stream),
     positioned so that its next output is uint64 word `word` of the stream.
 
-    A seed or stream outside [0, 2**64) raises DomainError: folding it into
-    range would hand two seeds one stream.  The key is an explicit uint64
-    array: numpy turns a list holding one value >= 2**63 and one below into
-    float64, which rounds nearby seeds onto one key.
+    A seed or stream that is not an integer in [0, 2**64) raises DomainError:
+    truncating or folding it would hand two seeds one stream.  The key is an
+    explicit uint64 array: numpy turns a list holding one value >= 2**63 and
+    one below into float64, which rounds nearby seeds onto one key.
     """
-    seed, stream, word = int(seed), int(stream), int(word)
-    if min(seed, stream, word) < 0:
-        raise DomainError("seed, stream and stream position must be non-negative integers")
-    if max(seed, stream) >= 2**64:
-        raise DomainError(f"seed and stream must be < 2**64, got seed={seed}, stream={stream}")
+    seed = check_number(seed, "seed", integral=True, low=0, high=2**64)
+    stream = check_number(stream, "stream", integral=True, low=0, high=2**64)
+    word = check_number(word, "stream position", integral=True, low=0)
     key = np.array([seed, stream], dtype=np.uint64)
     bits = np.random.Philox(key=key)
     # Philox yields words in blocks of 4: skip whole blocks by counter, then
@@ -239,13 +263,14 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     (seed, t) alone, so any contiguous slice of trials reproduces exactly
     regardless of how the full run is split into batches.
     """
-    n_samples = int(n_samples)
+    n_samples = check_number(n_samples, "n_samples", integral=True)
     if n_samples < 1:
         raise DimensionError(f"n_samples must be >= 1, got {n_samples}")
     nh = model.dims.channel_len
     nn = model.dims.obs_len
     width = 2 * (nh + nn)
-    raw = _philox(seed, 0, int(start_stream) * width).random_raw((n_samples, width))
+    start_stream = check_number(start_stream, "start_stream", integral=True, low=0)
+    raw = _philox(seed, 0, start_stream * width).random_raw((n_samples, width))
     # 52 bits, so k + 0.5 is exact in a double and u stays inside (0, 1);
     # with 53 bits the top word would round to u = 1 and map to +inf.
     np.right_shift(raw, 12, out=raw)

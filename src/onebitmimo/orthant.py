@@ -35,7 +35,6 @@ orthant_probability per matrix; either way a matrix gets its own bits.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +48,7 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian
+from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian, check_number
 
 # Defaults of the integrator's accuracy target and evaluation budget; every
 # entry point that passes them on defaults to these.
@@ -135,9 +134,8 @@ def _validate_spd(m, name):
 
 
 def check_rel_tol(rel_tol):
-    """Reject a relative tolerance that is not a real number in (0, 1): NaN
-    and numeric strings included."""
-    if not isinstance(rel_tol, numbers.Real) or not 0.0 < rel_tol < 1.0:
+    """Reject a relative tolerance that is not a number in (0, 1), NaN included."""
+    if not 0.0 < check_number(rel_tol, "rel_tol") < 1.0:
         raise DomainError(f"rel_tol must be a number in (0, 1), got {rel_tol!r}")
 
 
@@ -508,19 +506,17 @@ def _integrand(chol, pts):
     return prob
 
 
-def _split(psi, rel_tol, max_samples, seeds):
+def _split(psi, rel_tol, max_samples, seed, tallis):
     """(psi, blocks): a matrix or (..., n, n) stack psi, each matrix checked
     by _validate_spd, and the coupled blocks of the union of their coupling
     graphs, after every check an orthant call makes before it solves one:
-    rel_tol in (0, 1), max_samples an integer (not a bool) of at least one
-    lattice round, 2 _N_SHIFTS, each block at most MAX_QMC_DIM coordinates
-    (else CapabilityError) and, past MAX_CLOSED_DIM, the Philox seeds
-    (first, last) = seeds(j, size) of block j in [0, 2**64)."""
+    rel_tol in (0, 1), max_samples an integer of at least one lattice round,
+    2 _N_SHIFTS, seed an integer, each block at most MAX_QMC_DIM coordinates
+    (else CapabilityError) and, past MAX_CLOSED_DIM, its Philox seeds in
+    [0, 2**64): seed, or with tallis seed + 1000 j + k, k = 0..len(block j)."""
     check_rel_tol(rel_tol)
-    if (isinstance(max_samples, bool) or not isinstance(max_samples, numbers.Integral)
-            or max_samples < 2 * _N_SHIFTS):
-        raise DomainError(f"max_samples must be an integer >= {2 * _N_SHIFTS}, "
-                          f"got {max_samples!r}")
+    check_number(max_samples, "max_samples", integral=True, low=2 * _N_SHIFTS)
+    check_number(seed, "seed", integral=True)
     psi = np.asarray(psi, dtype=float)
     flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
     psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
@@ -529,9 +525,10 @@ def _split(psi, rel_tol, max_samples, seeds):
         if len(comp) > MAX_QMC_DIM:
             raise CapabilityError(f"no orthant integrator for a coupled block of {len(comp)} "
                                   f"coordinates > {MAX_QMC_DIM}")
-        first, last = seeds(j, len(comp))
-        if len(comp) > MAX_CLOSED_DIM and not 0 <= first <= last < 2**64:
-            raise DomainError(f"integrator seeds {first}..{last} must lie in [0, 2**64)")
+        if len(comp) > MAX_CLOSED_DIM:
+            first, span = (seed + 1000 * j, len(comp)) if tallis else (seed, 0)
+            for key in (first, first + span):
+                check_number(key, "integrator seed", integral=True, low=0, high=2**64)
     return psi, blocks
 
 
@@ -547,13 +544,13 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
     Both numeric routes work to relative tolerance rel_tol, which must lie
     in (0, 1), and raise AccuracyError when their budget runs out first;
     the lattice's, max_samples evaluations, must be an integer of at least
-    one round, 2 _N_SHIFTS.  The seed must key a Philox stream, 0 <= seed
-    < 2**64, once a block has 4 or more coordinates, whichever route serves
-    it.  _split checks all of these before any block is solved.
+    one round, 2 _N_SHIFTS.  The seed must be an integer, 0 <= seed < 2**64
+    once a block has 4 or more coordinates, whichever route serves it.
+    _split checks all of these before any block is solved.
     """
     if np.ndim(psi) != 2:
         raise DimensionError(f"psi must be a 2-d array, got shape {np.shape(psi)}")
-    psi, blocks = _split(psi, rel_tol, max_samples, lambda j, size: (seed, seed))
+    psi, blocks = _split(psi, rel_tol, max_samples, seed, tallis=False)
     prob = 1.0
     for comp in blocks:
         sub = psi[np.ix_(comp, comp)]
@@ -626,13 +623,12 @@ def positive_orthant_mean(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_
     bits it would get alone.  _split checks the call, validates each matrix
     and splits the stack on the union of their coupling graphs; uncoupled
     blocks factor the distribution and are solved independently, block j
-    at seeds seed + 1000 j + k, k = 0..len(block).  Past MAX_CLOSED_DIM
-    coordinates these key Philox streams, so each must lie in [0, 2**64),
-    or DomainError is raised before any block is solved, whichever of
-    orthant_probability's routes would have served it.
+    at seeds seed + 1000 j + k, k = 0..len(block).  The seed must be an
+    integer and, past MAX_CLOSED_DIM coordinates, these seeds key Philox
+    streams, so each must lie in [0, 2**64), or DomainError is raised before
+    any block is solved, whichever of orthant_probability's routes serves it.
     """
-    psi, blocks = _split(psi, rel_tol, max_samples,
-                         lambda j, size: (seed + 1000 * j, seed + 1000 * j + size))
+    psi, blocks = _split(psi, rel_tol, max_samples, seed, tallis=True)
     mean = np.empty(psi.shape[:-1])
     prob = 1.0
     for j, comp in enumerate(blocks):

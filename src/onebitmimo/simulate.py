@@ -23,7 +23,6 @@ trial count.
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,8 @@ from .model import (
     STREAM_CONTRACT,
     SystemDims,
     build_pilot_model,
+    check_number,
+    number_array,
     observe,
     sample_realizations,
     second_order_stats,
@@ -126,29 +127,12 @@ PILOT_PARAMS = {
 def snr_from_db(snr_db):
     """Linear SNR of snr_db decibels; DomainError unless finite and positive."""
     try:
-        snr = 10.0 ** (float(snr_db) / 10.0)
+        snr = 10.0 ** (check_number(snr_db, "snr_db") / 10.0)
     except OverflowError:
         snr = math.inf
     if not 0.0 < snr < math.inf:
         raise DomainError(f"snr_db {snr_db!r} has no finite positive linear value")
     return snr
-
-
-def _check_number(value, message, integral=False):
-    """DomainError(message) unless value is a real number (an integer if
-    integral); a bool or a numeric string is neither, whatever int() or
-    float() make of it."""
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DomainError(f"{message}, got {value!r}")
-
-
-def _number_array(value, message):
-    """value as a float array once each of its entries passes
-    _check_number(entry, message)."""
-    for x in np.ravel(np.array(value, dtype=object)):
-        _check_number(x, message)
-    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -172,8 +156,8 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.snr_grid_db) == 0:
             raise DomainError("snr_grid_db must not be empty")
+        number_array(self.snr_grid_db, "snr_grid_db")
         for snr_db in self.snr_grid_db:
-            _check_number(snr_db, "snr_grid_db entries must be numbers")
             snr_from_db(snr_db)
         if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
             raise DomainError("snr_grid_db contains duplicate points")
@@ -188,13 +172,9 @@ class SweepConfig:
                 raise DomainError(
                     f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
                 )
-        _check_number(self.trials, "trials must be an integer", integral=True)
-        if int(self.trials) < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        check_number(self.trials, "trials", integral=True, low=1)
         # the seed keys a Philox4x64 stream with one uint64 word
-        _check_number(self.seed, "seed must be an integer", integral=True)
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_number(self.seed, "seed", integral=True, low=0, high=2**64)
         check_rel_tol(self.rel_tol)
 
 
@@ -230,9 +210,9 @@ def _spec_params(spec, kinds, what):
         raise DomainError(f"{what} kind {kind!r} does not read keys {unread}")
     for key, value in params.items():
         if kinds[kind][key] is not None:
-            _check_number(value, f"{what} parameter {key!r} must be a number")
+            check_number(value, f"{what} parameter {key!r}")
         elif value is not None:
-            _number_array(value, f"{what} parameter {key!r} entries must be numbers")
+            number_array(value, f"{what} parameter {key!r}")
     return kind, {**kinds[kind], **params}
 
 
@@ -385,13 +365,13 @@ def run_mse_sweep(config):
     one pair of sums, so they are equal.
     """
     dims = config.dims
-    trials = int(config.trials)
+    trials = check_number(config.trials, "trials", integral=True, low=1)
     rows = []
     eta_notes = []
     # Build and resolve every point before the first trial, so that a point
     # that cannot be served fails the sweep before any sampling is spent.
     points = []
-    for snr_db in sorted(float(x) for x in config.snr_grid_db):
+    for snr_db in sorted(number_array(config.snr_grid_db, "snr_grid_db").tolist()):
         stats, model = build_point(config, snr_db)
         eta_notes.append(
             f"snr_db={snr_db:g} eta={np.linalg.norm(model.pilots) ** 2 / dims.n_pilots:.12g}"

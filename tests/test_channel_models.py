@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from onebitmimo import DomainError, bessel_tx_covariance, exponential_covariance
+from onebitmimo import DimensionError, DomainError, bessel_tx_covariance, exponential_covariance
 
 
 def bessel_j0_series(x, terms=40):
@@ -40,6 +40,13 @@ def test_exponential_rejects_unit_rho():
         exponential_covariance(3, 1.0)
     with pytest.raises(DomainError):
         exponential_covariance(3, -1.2)
+    # int() would build 2x2 for 2.7 and 3x3 for "3"; float() would read "0.5"
+    for args, name in (((2.7, 0.5), "n"), (("3", 0.5), "n"), ((3, "0.5"), "rho"),
+                       ((3, None), "rho")):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            exponential_covariance(*args)
+    with pytest.raises(DimensionError):
+        exponential_covariance(0, 0.5)
 
 
 def test_exponential_positive_definite_near_boundary():
@@ -67,6 +74,16 @@ def test_bessel_phase_structure():
             np.testing.assert_allclose(sigma[i, k], mag * phase, atol=1e-12)
     assert np.abs(sigma - sigma.conj().T).max() < 1e-14
     np.testing.assert_allclose(np.diagonal(sigma), 1.0, atol=1e-15)
+
+
+def test_bessel_rejects_non_numbers():
+    # int() would build n_tx = 2 for 2.5; float() would read True and "0.1"
+    good = {"n_tx": 3, "delta": 0.5, "theta": math.pi / 6.0, "gamma_max": 0.1}
+    for name, value in (("n_tx", 2.5), ("delta", True), ("theta", "0.5"), ("gamma_max", "0.1")):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            bessel_tx_covariance(**dict(good, **{name: value}))
+    with pytest.raises(DimensionError):
+        bessel_tx_covariance(**dict(good, n_tx=0))
 
 
 def test_bessel_positive_semidefinite():

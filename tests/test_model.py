@@ -60,6 +60,10 @@ def test_kron_matrix_shape_and_content():
     assert model.kron_matrix.shape == (6, 6)
     np.testing.assert_allclose(model.kron_matrix, np.kron(pilots, np.eye(3)))
     assert model.dims == SystemDims(n_tx=2, n_rx=3, n_pilots=2)
+    # int() would truncate 2.7 and read "3" and True; SystemDims refuses them
+    for n_rx in (2.7, "3", True):
+        with pytest.raises(DimensionError, match="n_rx"):
+            build_pilot_model(pilots, n_rx)
 
 
 def test_stats_uncorrelated_unitary():
@@ -111,6 +115,10 @@ def test_negative_noise_rejected():
     model = build_pilot_model(np.eye(2, dtype=complex), 1)
     with pytest.raises(DomainError):
         second_order_stats(model, np.eye(2, dtype=complex), -0.1)
+    # float() would read "1" and True as 1.0
+    for noise_var in ("1", True):
+        with pytest.raises(DomainError, match="noise_var"):
+            second_order_stats(model, np.eye(2, dtype=complex), noise_var)
 
 
 def test_non_hermitian_covariance_rejected():
@@ -258,6 +266,15 @@ def test_sampling_large_seeds_and_validation():
         sample_realizations(stats, model, -1, 2)
     with pytest.raises(DomainError):
         sample_realizations(stats, model, 0, 2, start_stream=-1)
+    # int() would replay seed 2 for 2.5, seed 1 for True and seed 3 for "3",
+    # draw 2 rows for 2.7 and start 1.5 at trial 1; each is refused by name
+    for kwargs, name in (({"seed": 2.5}, "seed"), ({"seed": True}, "seed"),
+                         ({"seed": "3"}, "seed"), ({"seed": None}, "seed"),
+                         ({"n_samples": 2.7}, "n_samples"), ({"n_samples": True}, "n_samples"),
+                         ({"start_stream": 1.5}, "start_stream")):
+        args = {"seed": 0, "n_samples": 2, **kwargs}
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            sample_realizations(stats, model, **args)
 
 
 def test_stream_key_beyond_uint64_rejected():

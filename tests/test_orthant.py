@@ -22,9 +22,12 @@ from onebitmimo import (
     DimensionError,
     DomainError,
     NotPositiveDefiniteError,
+    build_pilot_model,
+    mmse_estimate,
     observation_from_signs,
     orthant_probability,
     positive_orthant_mean,
+    second_order_stats,
     standardize,
 )
 from onebitmimo import orthant
@@ -644,6 +647,23 @@ def test_seed_beyond_one_stream_key_rejected():
     # the truncated mean integrates coordinate k's conditional block at seed + k + 1
     with pytest.raises(DomainError, match=r"2\*\*64"):
         positive_orthant_mean(equicorrelated(5, 0.3), rel_tol=1e-2, seed=2**64 - 2)
+    # int() would truncate 2.5 onto seed 2's stream and read True as seed 1;
+    # a seed that is no integer is refused for every block size, closed
+    # forms included, and by the estimator that passes it on
+    model = build_pilot_model(np.ones((1, 1)), 1)
+    stats = second_order_stats(model, np.eye(1), 1.0)
+    obs = observation_from_signs(np.ones(1), np.ones(1))
+    for seed in (2.5, True, "2", None):
+        for psi in (equicorrelated(2, 0.3), equicorrelated(4, 0.3), equicorrelated(7, 0.3)):
+            for entry in (orthant_probability, positive_orthant_mean):
+                with pytest.raises(DomainError, match="seed must be an integer"):
+                    entry(psi, rel_tol=1e-3, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            mmse_estimate(stats, model, obs, seed=seed)
+    # a valid seed keeps its bits, as a Python or a numpy integer
+    for seed in (2, np.int64(2)):
+        p = orthant_probability(equicorrelated(7, 0.3), rel_tol=1e-3, seed=seed)
+        assert p.hex() == "0x1.06fb559835ccep-4"
 
 
 def test_rejects_indefinite_matrix():
