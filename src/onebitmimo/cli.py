@@ -48,7 +48,7 @@ def _load_observation(path):
         return number_array(raw[key], f"observation {key!r}")
 
     if "r_real" in raw and "r_imag" in raw:
-        return observation_from_signs(entries("r_real"), entries("r_imag"))
+        return observation_from_signs(raw["r_real"], raw["r_imag"])
     if "b_real" in raw:
         b_real = entries("b_real")
         b_imag = entries("b_imag") if "b_imag" in raw else np.zeros_like(b_real)

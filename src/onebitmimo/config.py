@@ -6,25 +6,20 @@ single-point commands reuse the same file and read the optional snr_db key
 real/imag arrays.
 """
 
+import dataclasses
+
 import yaml
 
 from .exceptions import DomainError
 from .model import SystemDims, check_number
 from .simulate import SweepConfig, snr_from_db
 
-_ALLOWED_KEYS = {
-    "dims",
-    "covariance",
-    "pilots",
-    "snr_grid_db",
-    "estimators",
-    "trials",
-    "seed",
-    "rel_tol",
-    "snr_db",
-}
-
-_DIM_KEYS = {"n_tx", "n_rx", "n_pilots"}
+# The keys come from the dataclasses; snr_db is read by the single-point
+# commands only.
+_FIELDS = [f.name for f in dataclasses.fields(SweepConfig)]
+_REQUIRED_KEYS = {f.name for f in dataclasses.fields(SweepConfig) if f.default is dataclasses.MISSING}
+_ALLOWED_KEYS = {*_FIELDS, "snr_db"}
+_DIM_KEYS = {f.name for f in dataclasses.fields(SystemDims)}
 
 
 class UniqueKeyLoader(yaml.SafeLoader):
@@ -60,44 +55,25 @@ def load_raw(path):
     return raw
 
 
-def _require(raw, key, kind, kind_name):
-    if key not in raw:
-        raise DomainError(f"config is missing required key '{key}'")
-    value = raw[key]
-    # bool subclasses int, so YAML true/false would pass as 1/0
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise DomainError(f"config key '{key}' must be a {kind_name}")
-    return value
-
-
 def sweep_config_from_dict(raw):
-    dims_raw = _require(raw, "dims", dict, "mapping")
-    missing = _DIM_KEYS - set(dims_raw)
+    """SweepConfig of a parsed config mapping.  SweepConfig judges every
+    value; only the shape of dims, and its entries as integers, are
+    checked here."""
+    missing = sorted(_REQUIRED_KEYS - set(raw))
+    if missing:
+        raise DomainError(f"config is missing required keys {missing}")
+    dims = raw["dims"]
+    if not isinstance(dims, dict):
+        raise DomainError(f"config key 'dims' must be a mapping, got {dims!r}")
+    missing = _DIM_KEYS - set(dims)
     if missing:
         raise DomainError(f"dims is missing keys: {sorted(missing)}")
-    extra = set(dims_raw) - _DIM_KEYS
+    extra = set(dims) - _DIM_KEYS
     if extra:
         raise DomainError(f"dims has unknown keys: {sorted(extra)}")
-    dims = SystemDims(**{k: _require(dims_raw, k, int, "integer") for k in sorted(_DIM_KEYS)})
-    covariance = _require(raw, "covariance", dict, "mapping")
-    pilots = _require(raw, "pilots", dict, "mapping")
-    grid = _require(raw, "snr_grid_db", (list, tuple), "list")
-    estimators = _require(raw, "estimators", (list, tuple), "list")
-    estimators = tuple(str(x) for x in estimators)
-    trials = _require(raw, "trials", int, "integer")
-    seed = _require(raw, "seed", int, "integer")
-    # an absent rel_tol takes SweepConfig's default
-    optional = {"rel_tol": raw["rel_tol"]} if "rel_tol" in raw else {}
-    return SweepConfig(
-        dims=dims,
-        covariance=dict(covariance),
-        pilots=dict(pilots),
-        snr_grid_db=tuple(grid),
-        estimators=estimators,
-        trials=trials,
-        seed=seed,
-        **optional,
-    )
+    dims = SystemDims(**{k: check_number(v, f"dims entry {k!r}", integral=True)
+                         for k, v in dims.items()})
+    return SweepConfig(**{**{k: raw[k] for k in _FIELDS if k in raw}, "dims": dims})
 
 
 def load_sweep_config(path):
@@ -107,8 +83,6 @@ def load_sweep_config(path):
 def point_snr_db(raw, config):
     """SNR used by the single-point commands: snr_db if present, else the
     first grid entry."""
-    if "snr_db" in raw:
-        snr_db = check_number(raw["snr_db"], "config key 'snr_db'")
-        snr_from_db(snr_db)
-        return snr_db
-    return check_number(config.snr_grid_db[0], "snr_grid_db[0]")
+    snr_db = raw.get("snr_db", config.snr_grid_db[0])
+    snr_from_db(snr_db)
+    return snr_db

@@ -12,14 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
+from .model import number_array
 from .orthant import arcsin_clamped
 
 
 @dataclass(frozen=True)
 class QuantizedObservation:
     """Sign pattern of one quantized observation, checked on construction:
-    r_real and r_imag are +-1 float vectors, non-empty, 1-d and of equal
-    length, and r is the complex combination r_real + 1j * r_imag.
+    r_real and r_imag are +-1 vectors of numbers (never a bool or a
+    string), non-empty, 1-d and of equal length, held as floats, and r is
+    the complex combination r_real + 1j * r_imag.
     """
 
     r_real: np.ndarray
@@ -27,12 +29,12 @@ class QuantizedObservation:
 
     def __post_init__(self):
         for name in ("r_real", "r_imag"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, number_array(getattr(self, name), repr(name)))
         if self.r_real.shape != self.r_imag.shape or self.r_real.ndim != 1 or self.r_real.size == 0:
             raise DimensionError("sign vectors must be non-empty 1-d arrays of equal length")
         for name in ("r_real", "r_imag"):
             if not np.all(np.abs(getattr(self, name)) == 1.0):
-                raise DomainError(f"{name} entries must be +-1")
+                raise DomainError(f"{name!r} entries must be +-1")
 
     @property
     def r(self):

@@ -23,6 +23,7 @@ trial count.
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +138,13 @@ def snr_from_db(snr_db):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything one MSE sweep depends on.
+    """Everything one MSE sweep depends on, every field checked on
+    construction, whether it comes from a YAML file or from Python.
 
     covariance and pilots are plain {"kind": ..., parameters...} mappings;
     see build_covariance and build_pilots for the accepted kinds, and
     COVARIANCE_PARAMS and PILOT_PARAMS for the parameters each reads.
+    snr_grid_db and estimators are lists or tuples, held as tuples.
     """
 
     dims: SystemDims
@@ -154,6 +157,11 @@ class SweepConfig:
     rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
+        if not isinstance(self.dims, SystemDims):
+            raise DomainError(f"dims must be a SystemDims, got {self.dims!r}")
+        for key in ("snr_grid_db", "estimators"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise DomainError(f"{key} must be a list or tuple, got {getattr(self, key)!r}")
         if len(self.snr_grid_db) == 0:
             raise DomainError("snr_grid_db must not be empty")
         number_array(self.snr_grid_db, "snr_grid_db")
@@ -165,17 +173,20 @@ class SweepConfig:
         _spec_params(self.pilots, PILOT_PARAMS, "pilot")
         if not self.estimators:
             raise DomainError("estimators must not be empty")
+        # names are checked before the duplicate test, which hashes them
+        for name in self.estimators:
+            if not isinstance(name, str) or name not in ESTIMATOR_NAMES:
+                raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
         if len(set(self.estimators)) != len(self.estimators):
             raise DomainError(f"estimators contains duplicate names: {list(self.estimators)}")
-        for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
-                raise DomainError(
-                    f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}"
-                )
         check_number(self.trials, "trials", integral=True, low=1)
         # the seed keys a Philox4x64 stream with one uint64 word
         check_number(self.seed, "seed", integral=True, low=0, high=2**64)
         check_rel_tol(self.rel_tol)
+        # the config holds its own containers: tuples, and copies of the specs
+        for key, kind in (("snr_grid_db", tuple), ("estimators", tuple),
+                          ("covariance", dict), ("pilots", dict)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -197,10 +208,13 @@ def _spec_params(spec, kinds, what):
     """(kind, parameters) of a {"kind": ..., ...} spec, the parameters the
     spec leaves out set to their defaults in kinds[kind].
 
-    DomainError for a kind missing from kinds, a key its kind does not read,
-    or a value off the number rule: a scalar parameter must be a number and
-    a matrix one (default None) hold only numbers, never a bool or a string.
+    DomainError for a spec that is not a mapping, a kind missing from
+    kinds, a key its kind does not read, or a value off the number rule:
+    a scalar parameter must be a number and a matrix one (default None)
+    hold only numbers, never a bool or a string.
     """
+    if not isinstance(spec, Mapping):
+        raise DomainError(f"{what} spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise DomainError(f"unknown {what} kind {kind!r}; choose from {sorted(kinds)}")
@@ -273,8 +287,8 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
     matrix rescaled to the target SNR).
     """
     kind, params = _spec_params(spec, PILOT_PARAMS, "pilot")
-    if snr_linear <= 0.0 or not np.isfinite(snr_linear):
-        raise DomainError(f"snr must be positive and finite, got {snr_linear}")
+    if not 0.0 < check_number(snr_linear, "snr_linear") < math.inf:
+        raise DomainError(f"snr_linear must be positive and finite, got {snr_linear!r}")
     if kind == "scalar":
         if dims.n_tx != 1 or dims.n_pilots != 1:
             raise DomainError("scalar pilots require n_tx == n_pilots == 1")
@@ -365,13 +379,13 @@ def run_mse_sweep(config):
     one pair of sums, so they are equal.
     """
     dims = config.dims
-    trials = check_number(config.trials, "trials", integral=True, low=1)
+    trials = config.trials
     rows = []
     eta_notes = []
     # Build and resolve every point before the first trial, so that a point
     # that cannot be served fails the sweep before any sampling is spent.
     points = []
-    for snr_db in sorted(number_array(config.snr_grid_db, "snr_grid_db").tolist()):
+    for snr_db in sorted(map(float, config.snr_grid_db)):
         stats, model = build_point(config, snr_db)
         eta_notes.append(
             f"snr_db={snr_db:g} eta={np.linalg.norm(model.pilots) ** 2 / dims.n_pilots:.12g}"

@@ -52,6 +52,11 @@ def test_observation_from_signs_validates():
         observation_from_signs(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
         observation_from_signs(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+    # a bool is not a sign, though True would read as +1
+    for r_real, r_imag, name in (([True], [True], "r_real"), ([1.0], np.array([False]), "r_imag"),
+                                 (["1"], [1.0], "r_real")):
+        with pytest.raises(DomainError, match=f"'{name}' entries must be numbers"):
+            observation_from_signs(r_real, r_imag)
 
 
 def test_normalized_sign_covariance_diagonal_input():

@@ -348,6 +348,14 @@ def test_config_validation():
                        ("pilots", {"kind": "explicit", "real": [[1.0, [2.0]]]})):
         with pytest.raises(DomainError, match="must be (an integer|a number|numbers)"):
             scalar_config(**{key: value})
+    # a config built in Python meets the type checks a YAML file does
+    for key, value, message in (("covariance", [["kind", "identity"]], "covariance spec must be a mapping"),
+                                ("pilots", "scalar", "pilot spec must be a mapping"),
+                                ("snr_grid_db", 5, "snr_grid_db must be a list or tuple"),
+                                ("estimators", ("mmse", ["x"]), r"unknown estimator \['x'\]"),
+                                ("dims", (1, 1, 1), "dims must be a SystemDims")):
+        with pytest.raises(DomainError, match=message):
+            scalar_config(**{key: value})
 
 
 def test_seed_beyond_one_stream_key_rejected():
@@ -456,6 +464,9 @@ def test_build_covariance_kinds():
     assert np.array_equal(build_covariance(custom, simo), np.eye(2))
     with pytest.raises(DimensionError):
         build_covariance(custom, dims)
+    for spec in ("identity", [("kind", "identity")], None):
+        with pytest.raises(DomainError, match="covariance spec must be a mapping"):
+            build_covariance(spec, dims)
 
 
 def test_build_pilots_hit_target_snr():
@@ -503,6 +514,16 @@ def test_build_pilots_validation():
     bad = {"kind": "explicit", "real": [[0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DomainError):
         build_pilots(bad, dims, 1.0)
+    for spec in ("scalar", [("kind", "scalar")], None):
+        with pytest.raises(DomainError, match="pilot spec must be a mapping"):
+            build_pilots(spec, SystemDims(1, 1, 1), 1.0)
+    # True would pass as 1 and "3" or None reach the comparison
+    for snr_linear in (True, "3", None):
+        with pytest.raises(DomainError, match="snr_linear must be a number"):
+            build_pilots({"kind": "scalar"}, SystemDims(1, 1, 1), snr_linear)
+    for snr_linear in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="snr_linear must be positive and finite"):
+            build_pilots({"kind": "scalar"}, SystemDims(1, 1, 1), snr_linear)
 
 
 def test_result_types():
