@@ -18,7 +18,7 @@ import yaml
 
 from . import config as config_mod
 from .estimators import blmmse_estimate, mmse_estimate
-from .exceptions import DomainError
+from .exceptions import DimensionError, DomainError
 from .model import number_array, observe, sample_realizations
 from .optimality import is_blmmse_optimal
 from .orthant import (
@@ -38,25 +38,23 @@ def _fmt_vector(v):
 
 
 def _load_observation(path):
-    """The observation an observation file holds; its entries must be
-    numbers, never a bool or a string, as spec parameters must."""
-    raw = config_mod.load_yaml(path, "observation file")
-    if not isinstance(raw, dict):
-        raise DomainError("observation file must be a mapping")
-
-    def entries(key):
-        return number_array(raw[key], f"observation {key!r}")
-
-    if "r_real" in raw and "r_imag" in raw:
+    """The observation an observation file holds: exactly r_real and r_imag
+    sign vectors, or b_real raw observations with an optional b_imag of the
+    same length.  Entries must be numbers, never a bool or a string."""
+    raw = config_mod.check_mapping(config_mod.load_yaml(path, "observation file"),
+                                   {"r_real", "r_imag", "b_real", "b_imag"}, "observation file")
+    keys = sorted(raw)
+    if keys == ["r_imag", "r_real"]:
         return observation_from_signs(raw["r_real"], raw["r_imag"])
-    if "b_real" in raw:
-        b_real = entries("b_real")
-        b_imag = entries("b_imag") if "b_imag" in raw else np.zeros_like(b_real)
-        return quantize(b_real + 1j * b_imag)
-    raise DomainError(
-        "observation file needs either r_real/r_imag sign vectors or "
-        "b_real/b_imag raw observations"
-    )
+    if keys not in (["b_real"], ["b_imag", "b_real"]):
+        raise DomainError("observation file must hold r_real and r_imag sign vectors, or "
+                          f"b_real raw observations with an optional b_imag; got keys {keys}")
+    b_real = number_array(raw["b_real"], "observation 'b_real'")
+    b_imag = number_array(raw.get("b_imag", np.zeros_like(b_real)), "observation 'b_imag'")
+    if b_imag.shape != b_real.shape:
+        raise DimensionError(f"observation 'b_imag' has shape {b_imag.shape}, "
+                             f"'b_real' {b_real.shape}")
+    return quantize(b_real + 1j * b_imag)
 
 
 def _load_point(path):
@@ -130,7 +128,9 @@ def _load_matrix(path):
         raise DomainError(f"matrix file {path} is not valid YAML: {exc}") from exc
     except yaml.YAMLError:
         raw = None
-    if isinstance(raw, dict) and "matrix" in raw:
+    if isinstance(raw, dict):
+        if "matrix" not in config_mod.check_mapping(raw, {"matrix"}, "matrix file"):
+            raise DomainError(f"matrix file {path} has no 'matrix' key")
         return number_array(raw["matrix"], "matrix file 'matrix'")
     if isinstance(raw, list):
         return number_array(raw, "matrix file")

@@ -45,14 +45,19 @@ def load_yaml(path, what):
             raise DomainError(f"{what} {path} is not valid YAML: {exc}") from exc
 
 
-def load_raw(path):
-    raw = load_yaml(path, "config")
+def check_mapping(raw, allowed, what):
+    """raw once it is a mapping whose keys all lie in allowed; else
+    DomainError naming what the file is."""
     if not isinstance(raw, dict):
-        raise DomainError(f"config root must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - _ALLOWED_KEYS
+        raise DomainError(f"{what} root must be a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - allowed
     if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        raise DomainError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     return raw
+
+
+def load_raw(path):
+    return check_mapping(load_yaml(path, "config"), _ALLOWED_KEYS, "config")
 
 
 def sweep_config_from_dict(raw):

@@ -17,25 +17,26 @@ most one off-diagonal coupling per row.  C and S share their coupled
 blocks, so this is the condition that every block of S has size at most
 two (see :mod:`onebitmimo.optimality`); each such block is closed-form.
 
-The posterior mean has one evaluator, the per-block sign tables of
-``_sign_tables``: ``mmse_estimate`` reads one row, a sweep point a chunk
-of trials.  They rest on three symmetries: the truncated mean factors
-over the coupled blocks of S, whose split is the same for every sign
-pattern, so each block's share of the estimate and factor of Pr(r) depend
-on its own signs only; flipping every sign of a block leaves its
-covariance unchanged, so that share is odd and that factor even in those
-signs; and b -> j b leaves the circular prior unchanged, so the rotation
-r -> j r, which maps each block onto a block, gives h_hat(j r) =
-j h_hat(r) and Pr(j r) = Pr(r).  A block B that the rotation maps onto
-itself (complex Omega) thus needs at most 2^(|B|-2) solves, and a pair
-of blocks mapped onto each other (the real-part and imaginary-part blocks
-of a real Omega) at most 2^(|B|-1) between them.  A row is solved only
-when an evaluation first needs it or its rotation, all the rows a block
-is missing in one stacked positive_orthant_mean call, whatever its size.
+The posterior mean has one evaluator, the sign table of ``_sign_tables``,
+one array of rows ordered by (block, row): ``mmse_estimate`` reads one
+sign pattern from it, a sweep point a chunk of trials.  It rests on three
+symmetries: the truncated mean factors over the coupled blocks of S,
+whose split is the same for every sign pattern, so each block's share of
+the estimate and factor of Pr(r) depend on its own signs only; flipping
+every sign of a block leaves its covariance unchanged, so that share is
+odd and that factor even in those signs; and b -> j b leaves the circular
+prior unchanged, so the rotation r -> j r, which maps each block onto a
+block, gives h_hat(j r) = j h_hat(r) and Pr(j r) = Pr(r).  A block B
+that the rotation maps onto itself (complex Omega) thus needs at most
+2^(|B|-2) solves, and a pair of blocks mapped onto each other (the
+real-part and imaginary-part blocks of a real Omega) at most 2^(|B|-1)
+between them.  A row is solved when an evaluation first needs it or its
+rotation, each pair at its smaller index, in one stacked call per block.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def tx_covariance(sigma_ch, dims):
 
 def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     """Exact MMSE estimates for one pilot, three receive antennas and a real
-    channel covariance, read from the sign tables of that point (see
+    channel covariance, read from the sign table of that point (see
     _sign_tables), whose two 3-coordinate blocks are closed-form.
 
     r_real and r_imag have shape (..., 3); returns estimates of shape
@@ -148,7 +149,7 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
 def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", seed=0):
     """Exact posterior-mean channel estimate from a sign pattern.
 
-    One row of the per-block sign tables of S (see _sign_tables).  method
+    One pattern read from the sign table of S (see _sign_tables).  method
     only picks the label: "auto" says "mmse-closed" when every coupled
     block of S is closed-form (at most three coordinates) and
     "mmse-general" otherwise; "general" always says "mmse-general".
@@ -164,102 +165,93 @@ def mmse_estimate(stats, model, obs, rel_tol=DEFAULT_REL_TOL, method="auto", see
 
 
 def _sign_tables(stats, model, rel_tol, seed=0):
-    """(evaluate, closed): the per-block sign tables of the posterior mean,
-    which rest on the three symmetries the module docstring names.
+    """(evaluate, closed): the sign table of the posterior mean, which rests
+    on the three symmetries the module docstring names.
 
     evaluate(r) maps an (n, tau N_R) complex sign array r = sgn(Re b) + j
     sgn(Im b) to h_hat, (n, channel_len), and Pr(r) = prod_B P_B, (n,).
     closed says every block has at most MAX_CLOSED_DIM coordinates.
     orthant._split checks and splits S once, as positive_orthant_mean would,
     so a bad rel_tol, a block beyond MAX_QMC_DIM or a bad seed is refused
-    here, before any solve.  Block j keeps 2^(|B|-1) rows, indexed
-    by its signs folded by the sign of its first coordinate; a row holds its
-    share of h_hat, its truncated mean lifted by sigma_ch A^H Omega^{-1},
-    next to P_B.  The rotation r -> j r pairs each row with a row of the same
-    or another block, never with itself.  Each evaluation solves the rows it
-    needs that are not yet filled: the smaller (block, row) of each pair, as
-    positive_orthant_mean solves block j of S, all of a block's in one
-    stacked call at seed + 1000 j.  The other row of the pair is filled with
-    j times its share, sign-folded, and the same P_B.  So the tables do not
-    depend on the fill order, and h_hat(j r) = j h_hat(r) holds bit for bit.
+    here, before any solve.  The table's rows are ordered by (block, row):
+    block j's 2^(|B|-1) rows start at start[j], one per sign pattern of the
+    block folded by the sign of its first coordinate.  A row holds its
+    signs, its share of h_hat (its truncated mean lifted by sigma_ch A^H
+    Omega^{-1}) and P_B.  The rotation r -> j r pairs each row i with a row
+    image[i] != i.  Each evaluation fills the rows it needs that are not yet
+    filled: it solves row min(i, image[i]) of each pair, as
+    positive_orthant_mean solves block j of S, a block's rows in one stacked
+    call at seed + 1000 j, and gives the other row j times its share,
+    sign-folded, and the same P_B.  So the table does not depend on the fill
+    order, and h_hat(j r) = j h_hat(r) holds bit for bit.
     """
     t = stats.omega_b.shape[0]
     cov, blocks = _split(0.5 * real_form(stats.omega_b), rel_tol, DEFAULT_MAX_SAMPLES, seed,
                          tallis=True)
-    # column j gives coordinate k of block j the bit weight 2^k, on the row
-    # that coordinate takes in the interleaved (Re, Im) float view of r
+    sizes = [1 << (len(comp) - 1) for comp in blocks]
+    start = np.array([*accumulate(sizes[:-1], initial=0)])
+    all_bits = np.array([2 * size - 1 for size in sizes])
+    # row start[j] + k of signs is a complex sign pattern: -1 on coordinate
+    # m of block j when 2k has bit m, +1 elsewhere.  Coordinate c of S (Re
+    # r_c, or Im r_(c-t) for c >= t) is column at[c] of the interleaved
+    # (Re, Im) float view of r, to which column j of weights gives the bit
+    # weight 2^m of coordinate m of block j
+    at = np.arange(2 * t).reshape(t, 2).T.ravel()
     weights = np.zeros((2 * t, len(blocks)))
-    block_of = np.empty(2 * t, dtype=int)
+    signs = np.full((sum(sizes), t), 1 + 1j)
     for j, comp in enumerate(blocks):
-        weights[comp, j] = 1 << np.arange(len(comp))
-        block_of[comp] = j
-    all_bits = weights.sum(axis=0).astype(np.int64)
-    weights = weights.reshape(2, t, -1).transpose(1, 0, 2).reshape(2 * t, -1)
-    shares = [np.empty((1 << (len(comp) - 1), model.dims.channel_len), dtype=complex)
-              for comp in blocks]
-    probs = [np.empty(len(share)) for share in shares]
-    filled = [np.zeros(len(share), dtype=bool) for share in shares]
-
-    def unfold(j, rows):
-        # signs over all 2t coordinates: each of the rows on block j, +1 elsewhere
-        comp = blocks[j]
-        signs = np.ones((len(rows), 2 * t))
-        signs[:, comp[1:]] = 1.0 - 2.0 * ((rows[:, None] >> np.arange(len(comp) - 1)) & 1)
-        return signs
+        weights[at[comp], j] = bit = 1 << np.arange(len(comp))
+        signs.view(np.float64)[start[j]:start[j] + sizes[j], at[comp]] = np.where(
+            np.arange(0, 2 * sizes[j], 2)[:, None] & bit, -1.0, 1.0)
+    shares = np.empty((len(signs), model.dims.channel_len), dtype=complex)
+    probs = np.full(len(signs), np.nan)  # NaN until the row is filled
 
     def fold(r):
-        # per block of (n, t) complex signs: the row, folded by the first
-        # coordinate's sign, and that sign's bit.  One float matmul finds
+        # per block of (n, t) complex signs: the table row, folded by the
+        # first coordinate's sign, and that sign.  One float matmul finds
         # every row: each is an integer below 2^16, exact in float64
         bits = ((r.view(np.float64) < 0) @ weights).astype(np.int64)
         first = bits & 1
-        return (bits ^ (first * all_bits)) >> 1, first
+        return start + ((bits ^ (first * all_bits)) >> 1), 1.0 - 2.0 * first
 
-    # r -> j r takes (Re, Im) signs to (-Im, Re): row `row` of block j lands
-    # on row image[j][row] of block partner[j], whose share is flip[j][row]
-    # j times this one; own[j][row] says the pair's smaller (block, row) is
-    # (j, row), the one that is solved
-    partner = [int(block_of[(comp[0] + t) % (2 * t)]) for comp in blocks]
-    image, flip, own = [], [], []
-    for j, share in enumerate(shares):
-        rows = np.arange(len(share))
-        signs = unfold(j, rows)
-        jr_rows, first = fold(-signs[:, t:] + 1j * signs[:, :t])
-        image.append(jr_rows[:, partner[j]])
-        flip.append(1.0 - 2.0 * first[:, partner[j]])
-        own.append((j < partner[j]) | ((j == partner[j]) & (rows < image[j])))
+    # r -> j r takes (Re r_c, Im r_c), columns 2c and 2c + 1 of the float
+    # view, to (-Im r_c, Re r_c), so block j onto the block to[j] that holds
+    # column at[c] ^ 1, c its first coordinate: row i lands on row image[i],
+    # whose share is turn[i] = +-j times that of row i
+    to = weights[at[[comp[0] for comp in blocks]] ^ 1].argmax(axis=1)
+    jr_rows, jr_sign = fold(1j * signs)
+    pick = np.arange(0, jr_rows.size, len(blocks)) + np.repeat(to, sizes)  # flat (i, to[j])
+    image, turn = jr_rows.ravel()[pick], jr_sign.ravel()[pick] * 1j
 
-    def solve(j, rows):
-        # solve the own row of each rotation pair the rows of block j belong
-        # to, lift each truncated mean to its share and fill both rows
-        rows = np.unique(np.where(own[j][rows], rows, image[j][rows]))
-        j = min(j, partner[j])
-        comp = blocks[j]
-        signs = unfold(j, rows)
-        subs = signs[:, comp, None] * cov[np.ix_(comp, comp)] * signs[:, None, comp]
+    def solve(rows):
+        # solve the smaller row of the rotation pair of each of rows, all on
+        # one block; lift each truncated mean to its share and fill both rows
+        rows = np.unique(np.minimum(rows, image[rows]))
+        j = int(start.searchsorted(rows[0], "right")) - 1
+        comp, row_signs = blocks[j], signs[rows]
+        on_comp = row_signs.view(np.float64)[:, at[comp]]
+        subs = on_comp[:, :, None] * cov[np.ix_(comp, comp)] * on_comp[:, None, :]
         solved = positive_orthant_mean(subs, rel_tol=rel_tol, seed=seed + 1000 * j)
         means = np.zeros((len(rows), 2 * t))
         means[:, comp] = solved.mean
-        folded = signs[:, :t] * means[:, :t] + 1j * signs[:, t:] * means[:, t:]
+        folded = row_signs.real * means[:, :t] + 1j * row_signs.imag * means[:, t:]
         for row, row_folded in zip(rows, folded):
-            shares[j][row] = stats.sigma_ch @ (
+            shares[row] = stats.sigma_ch @ (
                 model.kron_matrix.conj().T @ (stats.omega_inv @ row_folded))
-        jr, jr_rows = partner[j], image[j][rows]
-        shares[jr][jr_rows] = flip[j][rows, None] * 1j * shares[j][rows]
-        probs[j][rows] = probs[jr][jr_rows] = solved.prob
-        filled[j][rows] = filled[jr][jr_rows] = True
+        shares[image[rows]] = turn[rows, None] * shares[rows]
+        probs[rows] = probs[image[rows]] = solved.prob
 
     def evaluate(r):
-        rows, first = fold(r)
+        rows, sign = fold(r)
         h_hat = np.zeros((len(r), model.dims.channel_len), dtype=complex)
         pr = np.ones(len(r))
         for j in range(len(blocks)):
             idx = rows[:, j]
-            missing = idx[~filled[j][idx]]
+            missing = idx[np.isnan(probs[idx])]
             if len(missing):
-                solve(j, missing)
-            h_hat += (1.0 - 2.0 * first[:, j])[:, None] * shares[j][idx]
-            pr *= probs[j][idx]
+                solve(missing)
+            h_hat += sign[:, j, None] * shares[idx]
+            pr *= probs[idx]
         return h_hat, pr
 
     return evaluate, max(len(comp) for comp in blocks) <= MAX_CLOSED_DIM

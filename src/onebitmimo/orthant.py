@@ -177,12 +177,11 @@ def _correlations(diag, upper):
 
 
 def _closed_entries(diag, upper):
-    """_closed_orthant from the entries of _correlations: elementwise and
-    summed over the entries, so a matrix gets the same bits in a stack as
-    alone; a unit diagonal divides out exactly."""
+    """_closed_orthant from the entries of _correlations (L <= MAX_CLOSED_DIM,
+    as every caller routes): elementwise and summed over the entries, so a
+    matrix gets the same bits in a stack as alone; a unit diagonal divides
+    out exactly."""
     n = len(diag)
-    if n > MAX_CLOSED_DIM:
-        raise DimensionError(f"no closed form for dimension {n}")
     s = arcsin_clamped(_correlations(diag, upper)).sum(0)
     return 0.5**n + s / (2.0 ** (n - 1) * np.pi)
 
@@ -428,8 +427,9 @@ def _cbc_vector(dim, n):
 
 
 def _qmc_orthant(corr, rel_tol, max_samples, seed):
-    """Genz-Bretz orthant integration: reordered sequential conditioning over
-    randomly shifted, tent-transformed CBC lattice rules.
+    """Genz-Bretz orthant integration of a correlation matrix of two or more
+    coordinates: reordered sequential conditioning over randomly shifted,
+    tent-transformed CBC lattice rules.
 
     Each round uses _N_SHIFTS independent shifts of a prime-point lattice,
     the point count growing by about sqrt(2) per round, and rounds are
@@ -443,8 +443,6 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
     rel_tol relative accuracy.
     """
     n = corr.shape[0]
-    if n == 1:
-        return 0.5, 0.0
     chol = _reordered_cholesky(corr)
     rng = np.random.Generator(_philox(seed, 10_000))
 

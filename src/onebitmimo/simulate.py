@@ -334,8 +334,8 @@ def _resolve_estimators(names, stats, model, rel_tol):
     and linear, else blmmse_operator's, built only when blmmse needs it.
     Both names then map to the same evaluator object, which the sweep runs
     once per chunk for both rows.  Every other mmse point reads the
-    per-block sign tables that mmse_estimate reads one row of
-    (estimators._sign_tables).  Those rest
+    sign table that mmse_estimate reads one pattern from
+    (estimators._sign_tables).  It rests
     on the odd symmetry of each coupled block B of S and on the rotation
     r -> j r: at most 2^(|B|-2) solves for a block the rotation maps onto
     itself, and 2^(|B|-1) for each pair of blocks it maps onto each other,

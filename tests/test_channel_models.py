@@ -86,6 +86,13 @@ def test_bessel_rejects_non_numbers():
         bessel_tx_covariance(**dict(good, n_tx=0))
 
 
+def test_bessel_rejects_zero_spacing_and_infinite_angle():
+    with pytest.raises(DomainError, match="delta must be > 0"):
+        bessel_tx_covariance(3, 0.0, math.pi / 6.0, 0.1)
+    with pytest.raises(DomainError, match="theta must be finite"):
+        bessel_tx_covariance(3, 0.5, math.inf, 0.1)
+
+
 def test_bessel_positive_semidefinite():
     for gamma in (0.05, 0.1, 0.3):
         sigma = bessel_tx_covariance(8, 0.5, math.pi / 6.0, gamma)

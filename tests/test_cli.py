@@ -242,3 +242,44 @@ def test_matrix_entry_that_is_no_number_reports_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "entries must be numbers" in captured.err
     assert "orthant probability" not in captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    # a misspelt b_imag would quantize as if the imaginary part were zero
+    ("b_real: [0.5, -0.2, 0.1]\nb_imga: [1.0, 1.0, -1.0]\n",
+     "unknown observation file keys: ['b_imga']"),
+    # signs and raw values together: which one is meant is not for us to pick
+    ("r_real: [1, -1, 1]\nr_imag: [1, 1, -1]\nb_real: [0.5, -0.2, 0.1]\n",
+     "got keys ['b_real', 'r_imag', 'r_real']"),
+    # one b_imag entry would be broadcast over three b_real entries
+    ("b_real: [0.5, -0.2, 0.1]\nb_imag: [-1.0]\n", "'b_imag' has shape (1,), 'b_real' (3,)"),
+    ("r_real: [1, -1, 1]\n", "must hold r_real and r_imag sign vectors"),
+], ids=["misspelt-key", "signs-and-raw", "short-b-imag", "r-real-alone"])
+def test_observation_file_with_the_wrong_keys_reports_error(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, SIMO3_CFG, "cfg.yaml")
+    obs = write(tmp_path, text, "obs.yaml")
+    assert main(["estimate", "--config", cfg, "--obs", obs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "estimate (path" not in captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("matrx:\n- [1.0, 0.5]\n- [0.5, 1.0]\n", "unknown matrix file keys: ['matrx']"),
+    ("matrix: [[1.0, 0.5], [0.5, 1.0]]\nmean: true\n", "unknown matrix file keys: ['mean']"),
+    ("{}\n", "has no 'matrix' key"),
+], ids=["misspelt-key", "extra-key", "empty-mapping"])
+def test_matrix_file_with_the_wrong_keys_reports_error(tmp_path, capsys, text, message):
+    mat = write(tmp_path, text, "psi.yaml")
+    assert main(["orthant", "--matrix", mat]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "orthant probability" not in captured.out
+
+
+def test_orthant_tab_separated_matrix(tmp_path, capsys):
+    # YAML refuses the tabs; the grid reader takes the file
+    mat = write(tmp_path, "1.0\t0.5\n0.5\t1.0\n", "psi.tsv")
+    assert main(["orthant", "--matrix", mat]) == 0
+    value = float(capsys.readouterr().out.split("orthant probability:")[1])
+    assert value == pytest.approx(1.0 / 3.0, abs=1e-12)

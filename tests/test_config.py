@@ -54,6 +54,12 @@ def test_unknown_key_rejected(tmp_path):
         load_raw(write(tmp_path, GOOD + "bogus: 1\n"))
 
 
+def test_unknown_keys_of_mixed_types_rejected(tmp_path):
+    # sorting an int key beside a str key raised TypeError, a traceback
+    with pytest.raises(DomainError, match=r"unknown config keys: \[1, 'bogus'\]"):
+        load_raw(write(tmp_path, GOOD + "1: x\nbogus: 2\n"))
+
+
 def test_repeated_top_level_key_rejected(tmp_path):
     # plain YAML loading would keep the last value and run 1000 trials
     path = write(tmp_path, "trials: 10\n" + GOOD, name="twice.yaml")
@@ -108,6 +114,9 @@ def test_missing_and_extra_dim_keys_rejected():
         sweep_config_from_dict(raw)
     raw["dims"] = {"n_tx": 1, "n_rx": 2, "n_pilots": 1, "oops": 3}
     with pytest.raises(DomainError, match="unknown keys"):
+        sweep_config_from_dict(raw)
+    raw["dims"] = [1, 1, 1]
+    with pytest.raises(DomainError, match="'dims' must be a mapping"):
         sweep_config_from_dict(raw)
 
 

@@ -373,6 +373,13 @@ def test_simo3_validation():
         simo3_closed_batch(ones, 1.0, 0.0, ones3, ones3)
 
 
+def test_simo3_rejects_sign_arrays_of_the_wrong_shape():
+    sigma = exponential_covariance(3, 0.5)
+    for r_real, r_imag in ((np.ones(2), np.ones(2)), (np.ones((4, 3)), np.ones(3))):
+        with pytest.raises(DimensionError, match=r"sign arrays must be \(\.\.\., 3\)"):
+            simo3_closed_batch(sigma, 1.0, 1.0, r_real, r_imag)
+
+
 def test_simo3_rejects_invalid_correlation_triple():
     # pairwise valid correlations that no covariance can realize; the
     # partial correlation leaves [-1, 1] or a pattern probability goes

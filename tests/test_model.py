@@ -7,6 +7,7 @@ from scipy.special import ndtri
 from onebitmimo import (
     DimensionError,
     DomainError,
+    NotPositiveDefiniteError,
     SingularMatrixError,
     SystemDims,
     build_pilot_model,
@@ -132,6 +133,19 @@ def test_covariance_dimension_mismatch_rejected():
     model = build_pilot_model(np.eye(2, dtype=complex), 2)
     with pytest.raises(DimensionError):
         second_order_stats(model, np.eye(3, dtype=complex), 1.0)
+
+
+def test_pilots_must_be_a_matrix():
+    with pytest.raises(DimensionError, match="pilots must be a non-empty 2-d array"):
+        build_pilot_model(np.ones(2, dtype=complex), 2)
+
+
+def test_indefinite_covariance_with_definite_omega_rejected():
+    # omega = sigma + I is positive definite, but sigma has eigenvalue -0.5
+    # and no channel can be drawn from it
+    sigma = np.array([[1.0, 1.5], [1.5, 1.0]], dtype=complex)
+    with pytest.raises(NotPositiveDefiniteError, match="sigma_ch has negative eigenvalue"):
+        second_order_stats(build_pilot_model([[1.0]], 2), sigma, 1.0)
 
 
 def test_snr_definition():
@@ -275,6 +289,8 @@ def test_sampling_large_seeds_and_validation():
         args = {"seed": 0, "n_samples": 2, **kwargs}
         with pytest.raises(DomainError, match=f"^{name} must be an integer"):
             sample_realizations(stats, model, **args)
+    with pytest.raises(DimensionError, match="n_samples must be >= 1"):
+        sample_realizations(stats, model, 0, 0)
 
 
 def test_stream_key_beyond_uint64_rejected():

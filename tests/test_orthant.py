@@ -679,6 +679,8 @@ def test_rejects_asymmetric_matrix():
 def test_rejects_bad_shapes_and_values():
     with pytest.raises(DimensionError):
         orthant_probability(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="psi must be a 2-d array"):
+        orthant_probability(np.ones((2, 2, 2)))
     with pytest.raises(DomainError):
         orthant_probability(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from onebitmimo import DomainError, observation_from_signs, quantize
+from onebitmimo import DimensionError, DomainError, observation_from_signs, quantize
 from onebitmimo.quantizer import arcsine_matrix, sgn
 
 
@@ -57,6 +57,19 @@ def test_observation_from_signs_validates():
                                  (["1"], [1.0], "r_real")):
         with pytest.raises(DomainError, match=f"'{name}' entries must be numbers"):
             observation_from_signs(r_real, r_imag)
+
+
+def test_quantize_rejects_non_vectors_and_non_finite_entries():
+    for b in (np.ones((2, 2), dtype=complex), np.array([], dtype=complex)):
+        with pytest.raises(DimensionError, match="non-empty 1-d vector"):
+            quantize(b)
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        quantize(np.array([1.0, np.nan + 1j]))
+
+
+def test_arcsine_matrix_rejects_non_positive_diagonal():
+    with pytest.raises(DomainError, match="positive diagonal"):
+        arcsine_matrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_normalized_sign_covariance_diagonal_input():

@@ -110,6 +110,14 @@ def test_exact_sum_equals_fsum_bit_for_bit(case):
         assert acc.value().hex() == expect.hex()
 
 
+def test_exact_sum_takes_a_chunk_without_a_finite_value():
+    for chunks in (([math.inf], [1.0]), ([1.0, 2.0], [math.nan, -math.inf])):
+        acc = simulate._ExactSum()
+        for chunk in chunks:
+            acc.add(np.array(chunk))
+        assert repr(acc.value()) == repr(math.fsum([x for chunk in chunks for x in chunk]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_error_reads_as_under_fsum(monkeypatch, bad):
     # one trial's blmmse estimate is non-finite: that row's MSE is the
@@ -327,6 +335,8 @@ def test_config_validation():
         scalar_config(snr_grid_db=(1.0, 1.0))
     with pytest.raises(DomainError):
         scalar_config(estimators=("bogus",))
+    with pytest.raises(DomainError, match="estimators must not be empty"):
+        scalar_config(estimators=())
     with pytest.raises(DomainError):
         scalar_config(trials=0)
     with pytest.raises(DomainError):
@@ -464,6 +474,10 @@ def test_build_covariance_kinds():
     assert np.array_equal(build_covariance(custom, simo), np.eye(2))
     with pytest.raises(DimensionError):
         build_covariance(custom, dims)
+    with pytest.raises(DomainError, match="missing 'real' matrix"):
+        build_covariance({"kind": "custom"}, simo)
+    with pytest.raises(DimensionError, match="'imag' shape"):
+        build_covariance(dict(custom, imag=[[0.0, 0.0]]), simo)
     for spec in ("identity", [("kind", "identity")], None):
         with pytest.raises(DomainError, match="covariance spec must be a mapping"):
             build_covariance(spec, dims)
@@ -514,6 +528,12 @@ def test_build_pilots_validation():
     bad = {"kind": "explicit", "real": [[0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DomainError):
         build_pilots(bad, dims, 1.0)
+    with pytest.raises(DimensionError, match="explicit pilots have shape"):
+        build_pilots({"kind": "explicit", "real": [[1.0, 0.0]]}, dims, 1.0)
+    # two transmit antennas, three pilots
+    for kind in ("scaled-unitary", "eigenbasis"):
+        with pytest.raises(DomainError, match=f"{kind} pilots require n_pilots == n_tx"):
+            build_pilots({"kind": kind}, SystemDims(2, 1, 3), 1.0)
     for spec in ("scalar", [("kind", "scalar")], None):
         with pytest.raises(DomainError, match="pilot spec must be a mapping"):
             build_pilots(spec, SystemDims(1, 1, 1), 1.0)
