@@ -4,10 +4,12 @@ Both built-in models are standardized (unit diagonal) by construction:
 the exponential profile for a uniform linear receive array, and the
 J0-Bessel scattering-ring profile with a steering phase for transmit
 correlation.
+
+bessel_tx_covariance imports scipy.special (j0) when it is first called;
+the exponential model needs no scipy.
 """
 
 import numpy as np
-from scipy.special import j0
 
 from .exceptions import DimensionError, DomainError
 from .model import check_number
@@ -44,6 +46,9 @@ def bessel_tx_covariance(n_tx, delta, theta, gamma_max):
     if not np.isfinite(theta):
         raise DomainError("theta must be finite")
     gamma_max = check_number(gamma_max, "gamma_max", low=0.0)
+    # local: importing scipy.special costs more than most CLI calls compute
+    from scipy.special import j0
+
     diff = np.arange(n_tx)[None, :] - np.arange(n_tx)[:, None]  # k - i
     mag = j0(2.0 * np.pi * diff * delta * gamma_max * np.cos(theta))
     phase = np.exp(-2j * np.pi * diff * delta * np.sin(theta))

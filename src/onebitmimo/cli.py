@@ -10,6 +10,7 @@ Subcommands:
 """
 
 import argparse
+import contextlib
 import io
 import sys
 
@@ -127,14 +128,19 @@ def _load_matrix(path):
     except yaml.constructor.ConstructorError as exc:
         raise DomainError(f"matrix file {path} is not valid YAML: {exc}") from exc
     except yaml.YAMLError:
-        raw = None
+        raw = text  # no YAML, but maybe a grid: YAML refuses tabs, for one
     if isinstance(raw, dict):
         if "matrix" not in config_mod.check_mapping(raw, {"matrix"}, "matrix file"):
             raise DomainError(f"matrix file {path} has no 'matrix' key")
         return number_array(raw["matrix"], "matrix file 'matrix'")
     if isinstance(raw, list):
         return number_array(raw, "matrix file")
-    return np.loadtxt(io.StringIO(text), ndmin=2)
+    # None is a file without a YAML value, on which loadtxt would only warn
+    if raw is not None:
+        with contextlib.suppress(ValueError):
+            return np.loadtxt(io.StringIO(text), ndmin=2)
+    raise DomainError(f"matrix file {path} holds no matrix: give a 'matrix:' mapping, "
+                      "a YAML list of rows or a whitespace grid of numbers")
 
 
 def _cmd_orthant(args):

@@ -10,6 +10,9 @@ n = vec(N).  The channel is zero-mean circular complex Gaussian with
 covariance sigma_ch, the noise i.i.d. CN(0, noise_var).  Everything
 downstream (quantization, orthant integrals, estimators) works off the
 second-order statistics bundled in :class:`SecondOrderStats`.
+
+scipy.special (ndtri) is imported inside sample_realizations, the one
+function here that calls it, so only sampling loads it from this module.
 """
 
 import math
@@ -17,7 +20,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import (
     DimensionError,
@@ -263,6 +265,9 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     (seed, t) alone, so any contiguous slice of trials reproduces exactly
     regardless of how the full run is split into batches.
     """
+    # local: importing scipy.special costs more than most CLI calls compute
+    from scipy.special import ndtri
+
     n_samples = check_number(n_samples, "n_samples", integral=True)
     if n_samples < 1:
         raise DimensionError(f"n_samples must be >= 1, got {n_samples}")

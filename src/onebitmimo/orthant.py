@@ -32,6 +32,10 @@ whichever route those take.  One routine applies it to each block of a
 stack of matrices, each probability by its size: up to MAX_CLOSED_DIM
 coordinates one closed-form call over the stack, beyond that
 orthant_probability per matrix; either way a matrix gets its own bits.
+
+Only the Genz-Bretz route calls scipy.special (ndtr, ndtri, log_ndtr), so
+_reordered_cholesky and _integrand import it on first use and blocks of up
+to six coordinates never load scipy.
 """
 
 import math
@@ -39,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exceptions import (
     AccuracyError,
@@ -349,6 +352,9 @@ def _reordered_cholesky(corr):
     unchanged by the permutation, so the factor of the permuted matrix is
     all the sequential-conditioning integrand needs.
     """
+    # local: only blocks of 7 or more coordinates need scipy.special
+    from scipy.special import log_ndtr, ndtr
+
     a = corr.copy()
     n = a.shape[0]
     chol = np.zeros((n, n))
@@ -488,6 +494,9 @@ def _qmc_orthant(corr, rel_tol, max_samples, seed):
 
 def _integrand(chol, pts):
     """Sequential-conditioning integrand values at points in [0,1)^(L-1)."""
+    # local: only blocks of 7 or more coordinates need scipy.special
+    from scipy.special import ndtr, ndtri
+
     n_pts, _ = pts.shape
     dim = chol.shape[0]
     prob = np.full(n_pts, 0.5)

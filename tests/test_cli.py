@@ -277,6 +277,23 @@ def test_matrix_file_with_the_wrong_keys_reports_error(tmp_path, capsys, text, m
     assert "orthant probability" not in captured.out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    "matrx\n",
+    "matrix: [[1.0, 0.5], [0.5, 1.0]]\n---\nmatrix: [[1.0]]\n",
+    "1.0 0.5\n0.5\n",
+    "",
+], ids=["bare-word", "two-documents", "ragged-grid", "empty"])
+def test_matrix_file_in_no_accepted_form_reports_error(tmp_path, capsys, text):
+    # an empty file must not reach loadtxt, which warns before it fails
+    mat = write(tmp_path, text, "psi.txt")
+    assert main(["orthant", "--matrix", mat]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "holds no matrix: give a 'matrix:' mapping, " \
+        "a YAML list of rows or a whitespace grid of numbers" in captured.err
+    assert "orthant probability" not in captured.out
+
+
 def test_orthant_tab_separated_matrix(tmp_path, capsys):
     # YAML refuses the tabs; the grid reader takes the file
     mat = write(tmp_path, "1.0\t0.5\n0.5\t1.0\n", "psi.tsv")
