@@ -187,7 +187,8 @@ def build_parser():
     p_orth = sub.add_parser("orthant",
                             help="orthant probability of a covariance matrix")
     p_orth.add_argument("--matrix", required=True,
-                        help="matrix file (YAML 'matrix:' mapping or whitespace grid)")
+                        help="matrix file (YAML 'matrix:' mapping, YAML list of rows or "
+                             "whitespace grid)")
     p_orth.add_argument("--mean", action="store_true",
                         help="also print the positive-orthant truncated mean")
     p_orth.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL, dest="rel_tol")

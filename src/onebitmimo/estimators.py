@@ -41,7 +41,7 @@ from itertools import accumulate
 import numpy as np
 
 from .exceptions import DimensionError, DomainError
-from .model import build_pilot_model, hermitian_inverse, real_form, second_order_stats
+from .model import build_pilot_model, hermitian_inverse, number_array, real_form, second_order_stats
 from .optimality import is_blmmse_optimal
 from .orthant import (
     DEFAULT_MAX_SAMPLES,
@@ -129,10 +129,10 @@ def simo3_closed_batch(sigma_ch, pilot, noise_var, r_real, r_imag):
     r_real and r_imag have shape (..., 3); returns estimates of shape
     (..., 3) and the sign-pattern probabilities of shape (...,).
     """
-    sigma = np.asarray(sigma_ch)
+    sigma = number_array(sigma_ch, "sigma_ch", complex)
     if np.abs(sigma.imag).max() > STRUCT_TOL * max(np.abs(sigma).max(), 1.0):
         raise DomainError("sigma_ch must be real")
-    r_real, r_imag = np.asarray(r_real, dtype=float), np.asarray(r_imag, dtype=float)
+    r_real, r_imag = number_array(r_real, "r_real"), number_array(r_imag, "r_imag")
     if r_real.shape[-1:] != (3,) or r_imag.shape != r_real.shape:
         raise DimensionError(f"sign arrays must be (..., 3), got {r_real.shape}, {r_imag.shape}")
     model = build_pilot_model([[pilot]], 3)

@@ -9,7 +9,9 @@ which column-stacks to b = A h + n with A = kron(S, I_NR), h = vec(H) and
 n = vec(N).  The channel is zero-mean circular complex Gaussian with
 covariance sigma_ch, the noise i.i.d. CN(0, noise_var).  Everything
 downstream (quantization, orthant integrals, estimators) works off the
-second-order statistics bundled in :class:`SecondOrderStats`.
+second-order statistics bundled in :class:`SecondOrderStats`.  Every number
+and array a caller hands the package passes one rule here: check_number,
+or number_array, which refuses complex entries where the math is real.
 
 scipy.special (ndtri) is imported inside sample_realizations, the one
 function here that calls it, so only sampling loads it from this module.
@@ -51,8 +53,7 @@ STREAM_CONTRACT = (
 )
 
 
-def _is_number(value, integral):
-    kind = numbers.Integral if integral else numbers.Real
+def _is_number(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -60,7 +61,7 @@ def check_number(value, name, integral=False, low=None, high=math.inf):
     """The package's one number rule: value, a Python int if integral else a
     float, once it is a real number (an integer if integral), never a bool or
     a string, and in [low, high) when low is given; else DomainError."""
-    if not _is_number(value, integral):
+    if not _is_number(value, numbers.Integral if integral else numbers.Real):
         what = "an integer" if integral else "a number"
         raise DomainError(f"{name} must be {what}, got {value!r}")
     if low is not None and not low <= value < high:
@@ -69,29 +70,38 @@ def check_number(value, name, integral=False, low=None, high=math.inf):
     return int(value) if integral else float(value)
 
 
-def number_array(value, name):
-    """value as a float array once every entry of it is a number."""
-    for x in np.ravel(np.array(value, dtype=object)):
-        if not _is_number(x, False):
-            raise DomainError(f"{name} entries must be numbers, got {x!r}")
-    return np.asarray(value, dtype=float)
-
-
-def _checked_matrix(m, name):
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionError(f"{name} must be a non-empty 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} contains non-finite entries")
+def number_array(value, name, dtype=float, ndim=None):
+    """The package's one array rule: value as a float64 array, or complex128
+    if dtype is complex, once every entry is a number, never a bool or a
+    string, and a real one unless dtype is complex, as check_number refuses
+    1+0j; else DomainError.  A numeric ndarray is judged by its dtype, all
+    else entry by entry.  With ndim, the array must also be non-empty with
+    ndim axes (else DimensionError) and finite."""
+    kinds = "iufc" if dtype is complex else "iuf"
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds):
+        kind = numbers.Complex if dtype is complex else numbers.Real
+        for x in np.ravel(np.array(value, dtype=object)):
+            if not _is_number(x, kind):
+                raise DomainError(f"{name} entries must be numbers, got {x!r}")
+    m = np.asarray(value, dtype=dtype)
+    if ndim is not None:
+        if m.ndim != ndim or m.size == 0:
+            what = f"{ndim}-d vector" if ndim == 1 else f"{ndim}-d array"
+            raise DimensionError(f"{name} must be a non-empty {what}, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError(f"{name} contains NaN or infinite entries")
     return m
 
 
-def check_hermitian(m, name):
-    """Validate that the array m is square and Hermitian (symmetric, when
-    real) within SYMMETRY_TOL relative to its largest entry, and return the
-    exactly Hermitian average (m + m^H)/2 with the dtype of m."""
-    m = _checked_matrix(m, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
+def check_hermitian(m, name, dtype=float, size=None):
+    """Validate that m passes number_array as a dtype matrix, is square (size
+    x size, when size is given) and Hermitian (symmetric, when real) within
+    SYMMETRY_TOL relative to its largest entry, and return the exactly
+    Hermitian average (m + m^H)/2, real unless dtype is complex."""
+    m = number_array(m, name, dtype, ndim=2)
+    n = m.shape[0] if size is None else size
+    if m.shape != (n, n):
+        raise DimensionError(f"{name} has shape {m.shape}, expected ({n}, {n})")
     scale = max(np.abs(m).max(), 1.0)
     if np.abs(m - m.conj().T).max() > SYMMETRY_TOL * scale:
         raise DomainError(f"{name} is not Hermitian within relative tolerance {SYMMETRY_TOL}")
@@ -159,7 +169,7 @@ class SystemModel:
 def build_pilot_model(pilots, n_rx):
     """Build a SystemModel from a tau x N_T pilot matrix and a receive
     antenna count."""
-    pilots = _checked_matrix(np.asarray(pilots, dtype=complex), "pilots")
+    pilots = number_array(pilots, "pilots", complex, ndim=2)
     n_pilots, n_tx = pilots.shape
     dims = SystemDims(n_tx=n_tx, n_rx=n_rx, n_pilots=n_pilots)
     a = np.kron(pilots, np.eye(n_rx))
@@ -212,12 +222,7 @@ def second_order_stats(model, sigma_ch, noise_var):
     otherwise SingularMatrixError is raised by the eigenvalue guard.
     """
     noise_var = check_number(noise_var, "noise_var", low=0.0)
-    sigma_ch = check_hermitian(np.asarray(sigma_ch, dtype=complex), "sigma_ch")
-    if sigma_ch.shape[0] != model.dims.channel_len:
-        raise DimensionError(
-            f"sigma_ch has shape {sigma_ch.shape}, expected "
-            f"({model.dims.channel_len}, {model.dims.channel_len})"
-        )
+    sigma_ch = check_hermitian(sigma_ch, "sigma_ch", complex, model.dims.channel_len)
     a = model.kron_matrix
     omega = a @ sigma_ch @ a.conj().T + noise_var * np.eye(model.dims.obs_len)
     omega = (omega + omega.conj().T) / 2.0

@@ -5,9 +5,10 @@ Two quantities drive the optimal estimator: the orthant probability
     P(psi) = Pr[u > 0],  u ~ N(0, psi),
 
 and the truncated mean E[u | u > 0]; the estimator takes psi to be the
-covariance S of the sign-folded observation.  Every entry point checks
-and splits psi once, in _split, before it solves any block; each coupled
-block takes one of four routes, none falling back on another:
+real covariance S of the sign-folded observation.  Every entry point checks
+psi once, in _split, as a real matrix or non-empty stack (number_array
+refuses a complex one, such as Omega), and splits it before it solves any
+block; each coupled block takes one of four routes, none falling back:
 
 * up to dimension MAX_CLOSED_DIM = 3, the exact arcsine closed forms;
 * in dimensions 4 and 5, Plackett's (1954) identity, which writes P as
@@ -51,7 +52,14 @@ from .exceptions import (
     DomainError,
     NotPositiveDefiniteError,
 )
-from .model import COUPLING_TOL, _philox, below_eig_floor, check_hermitian, check_number
+from .model import (
+    COUPLING_TOL,
+    _philox,
+    below_eig_floor,
+    check_hermitian,
+    check_number,
+    number_array,
+)
 
 # Defaults of the integrator's accuracy target and evaluation budget; every
 # entry point that passes them on defaults to these.
@@ -127,7 +135,7 @@ def arcsin_clamped(x):
 
 def _validate_spd(m, name):
     """Check a real symmetric PD matrix; return its symmetrized copy."""
-    m = check_hermitian(np.asarray(m, dtype=float), name)
+    m = check_hermitian(m, name)
     w = np.linalg.eigvalsh(m)
     if below_eig_floor(w):
         raise NotPositiveDefiniteError(
@@ -514,7 +522,7 @@ def _integrand(chol, pts):
 
 
 def _split(psi, rel_tol, max_samples, seed, tallis):
-    """(psi, blocks): a matrix or (..., n, n) stack psi, each matrix checked
+    """(psi, blocks): a matrix or non-empty (..., n, n) stack psi, each checked
     by _validate_spd, and the coupled blocks of the union of their coupling
     graphs, after every check an orthant call makes before it solves one:
     rel_tol in (0, 1), max_samples an integer of at least one lattice round,
@@ -524,7 +532,7 @@ def _split(psi, rel_tol, max_samples, seed, tallis):
     check_rel_tol(rel_tol)
     check_number(max_samples, "max_samples", integral=True, low=2 * _N_SHIFTS)
     check_number(seed, "seed", integral=True)
-    psi = np.asarray(psi, dtype=float)
+    psi = number_array(psi, "psi", ndim=max(np.ndim(psi), 2))
     flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
     psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
     blocks = _coupling_components(psi)
@@ -596,8 +604,7 @@ def _conditional_covariances(psi):
             - f[..., :, :, None] * f[..., :, None, :] / diag[..., :, None, None])
 
 
-def _mean_single_block(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SAMPLES,
-                       seed=0):
+def _mean_single_block(psi, rel_tol, max_samples, seed):
     """(E[u | u > 0], P(u > 0)) by Tallis (see positive_orthant_mean) for
     each matrix of a (..., L, L) stack of coupled blocks: P(psi) at seed
     and P(psi_k) at seed + k + 1, Python ints, each term a stacked closed

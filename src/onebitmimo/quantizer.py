@@ -49,11 +49,7 @@ def sgn(x):
 
 def quantize(b):
     """Quantize a complex observation vector to its sign pattern."""
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 1 or b.size == 0:
-        raise DimensionError(f"observation must be a non-empty 1-d vector, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise DomainError("observation contains NaN or infinite entries")
+    b = number_array(b, "observation b", complex, ndim=1)
     # one sign pass over the interleaved (Re, Im) parts of b
     signs = sgn(np.ascontiguousarray(b).view(np.float64))
     return QuantizedObservation(r_real=signs[0::2], r_imag=signs[1::2])

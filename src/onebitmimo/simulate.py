@@ -42,6 +42,7 @@ from .model import (
     STREAM_CONTRACT,
     SystemDims,
     build_pilot_model,
+    check_hermitian,
     check_number,
     number_array,
     observe,
@@ -209,9 +210,9 @@ def _spec_params(spec, kinds, what):
     spec leaves out set to their defaults in kinds[kind].
 
     DomainError for a spec that is not a mapping, a kind missing from
-    kinds, a key its kind does not read, or a value off the number rule:
-    a scalar parameter must be a number and a matrix one (default None)
-    hold only numbers, never a bool or a string.
+    kinds, a key its kind does not read, or a value off the number rules:
+    a scalar parameter must pass check_number and a matrix one (default
+    None) number_array, which it comes back as.
     """
     if not isinstance(spec, Mapping):
         raise DomainError(f"{what} spec must be a mapping, got {spec!r}")
@@ -226,7 +227,7 @@ def _spec_params(spec, kinds, what):
         if kinds[kind][key] is not None:
             check_number(value, f"{what} parameter {key!r}")
         elif value is not None:
-            number_array(value, f"{what} parameter {key!r}")
+            params[key] = number_array(value, f"{what} parameter {key!r}")
     return kind, {**kinds[kind], **params}
 
 
@@ -234,9 +235,7 @@ def _parse_complex_matrix(params):
     real = params["real"]
     if real is None:
         raise DomainError("missing 'real' matrix")
-    real = np.asarray(real, dtype=float)
-    imag = params["imag"]
-    imag = np.zeros_like(real) if imag is None else np.asarray(imag, dtype=float)
+    imag = np.zeros_like(real) if params["imag"] is None else params["imag"]
     if imag.shape != real.shape:
         raise DimensionError(
             f"'imag' shape {imag.shape} does not match 'real' shape {real.shape}"
@@ -303,7 +302,9 @@ def build_pilots(spec, dims, snr_linear, sigma_ch=None):
             raise DomainError("eigenbasis pilots require n_pilots == n_tx")
         if sigma_ch is None:
             raise DomainError("eigenbasis pilots require the channel covariance")
-        sigma_tx = tx_covariance(sigma_ch, dims)
+        # judged as second_order_stats judges it, read in its own dtype
+        check_hermitian(sigma_ch, "sigma_ch", complex, dims.channel_len)
+        sigma_tx = tx_covariance(np.asarray(sigma_ch), dims)
         if sigma_tx is None:
             raise DomainError(
                 "eigenbasis pilots require sigma_ch = kron(sigma_tx, identity)"
@@ -456,7 +457,7 @@ def _echo_spec(spec):
     parts = []
     for key, value in sorted(spec.items()):
         if isinstance(value, (list, tuple, np.ndarray)):
-            m = np.asarray(value, dtype=np.float64)
+            m = number_array(value, repr(key))
             digest = hashlib.sha256(m.tobytes()).hexdigest()[:16]
             value = "x".join(map(str, m.shape)) + ":sha256:" + digest
         parts.append(f"{key}={value}")

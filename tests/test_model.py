@@ -1,4 +1,7 @@
-"""System model: stacking convention, second-order statistics, sampling."""
+"""System model: stacking convention, second-order statistics, sampling,
+and the array rule every entry point applies."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,9 +14,13 @@ from onebitmimo import (
     SingularMatrixError,
     SystemDims,
     build_pilot_model,
-    sample_realizations,
     build_pilots,
+    orthant_probability,
+    positive_orthant_mean,
+    quantize,
+    sample_realizations,
     second_order_stats,
+    standardize,
 )
 from onebitmimo.model import _philox, hermitian_inverse, observe
 from onebitmimo.simulate import NOISE_VAR
@@ -311,3 +318,64 @@ def test_hermitian_inverse():
     singular = np.outer(np.ones(3), np.ones(3)).astype(complex)
     with pytest.raises(SingularMatrixError):
         hermitian_inverse(singular, "singular")
+
+
+# Each entry point that takes a matrix or vector: (call, the name its errors
+# give the argument, an integer-valued argument, whether the math is real).
+_M = [[2, 1], [1, 2]]
+ARRAY_ENTRY_POINTS = {
+    "orthant_probability": (orthant_probability, "psi", _M, True),
+    "positive_orthant_mean": (positive_orthant_mean, "psi", _M, True),
+    "standardize": (standardize, "psi", _M, True),
+    "build_pilot_model": (lambda m: build_pilot_model(m, 2), "pilots", _M, False),
+    "second_order_stats": (lambda m: second_order_stats(build_pilot_model([[1.0]], 2), m, 1.0),
+                           "sigma_ch", _M, False),
+    "quantize": (quantize, "observation b", [1, -2], False),
+    "build_pilots-eigenbasis": (
+        lambda m: build_pilots({"kind": "eigenbasis"}, SystemDims(2, 1, 2), 1.0, sigma_ch=m),
+        "sigma_ch", _M, False),
+}
+
+
+def _with_first_entry(m, x):
+    m = np.array(m, dtype=object)
+    m.flat[0] = x
+    return m.tolist()
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, _, real) in ARRAY_ENTRY_POINTS.items()
+    for bad in ("bool", "string", "complex")[: 3 if real else 2]
+])
+def test_array_rule_refuses_bool_string_and_complex_where_real(entry, bad):
+    # True would read as 1, "2" as 2 and 2+0j as 2 under a plain conversion;
+    # a complex Hermitian matrix where a real one belongs lost its imaginary
+    # part with only a warning
+    call, name, m, _ = ARRAY_ENTRY_POINTS[entry]
+    x = {"bool": True, "string": "2", "complex": 2 + 0j}[bad]
+    with pytest.raises(DomainError, match=f"{name} entries must be numbers"):
+        call(_with_first_entry(m, x))
+    if bad == "complex":
+        with pytest.raises(DomainError, match=f"{name} entries must be numbers"):
+            call(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+
+
+def _bits(result):
+    if dataclasses.is_dataclass(result):
+        return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    a = np.asarray(result)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_array_rule_gives_numeric_inputs_one_result(entry):
+    # a list of ints or floats and an int, float or (where allowed) complex
+    # ndarray are the same argument, to the bit
+    call, _, m, real = ARRAY_ENTRY_POINTS[entry]
+    # eigenbasis pilots read sigma_ch in its own dtype: a real one gives
+    # real pilots
+    dtypes = (int, float) if real or entry == "build_pilots-eigenbasis" else (int, float, complex)
+    forms = [np.array(m, dtype=float).tolist()] + [np.array(m, dtype=t) for t in dtypes]
+    expected = _bits(call(m))
+    for form in forms:
+        assert _bits(call(form)) == expected

@@ -36,6 +36,7 @@ from onebitmimo.model import COUPLING_TOL, real_form
 from onebitmimo.orthant import (
     _N_SHIFTS,
     DEFAULT_MAX_SAMPLES,
+    DEFAULT_REL_TOL,
     MAX_QMC_DIM,
     _closed_orthant,
     _conditional_covariances,
@@ -118,11 +119,12 @@ def test_closed_forms_give_each_matrix_of_a_stack_its_own_bits():
         psi = a @ np.swapaxes(a, -1, -2) + 0.05 * np.eye(n)
         scale = np.sqrt(np.diagonal(psi, axis1=-2, axis2=-1))
         corr = psi / (scale[..., :, None] * scale[..., None, :])
-        mean, prob = _mean_single_block(psi)
+        mean, prob = _mean_single_block(psi, DEFAULT_REL_TOL, DEFAULT_MAX_SAMPLES, 0)
         probs = _closed_orthant(corr)
         assert mean.shape == (2, 40, n) and prob.shape == probs.shape == (2, 40)
         for idx in np.ndindex(2, 40):
-            alone_mean, alone_prob = _mean_single_block(psi[idx])
+            alone_mean, alone_prob = _mean_single_block(psi[idx], DEFAULT_REL_TOL,
+                                                        DEFAULT_MAX_SAMPLES, 0)
             assert np.array_equal(alone_mean, mean[idx])
             assert alone_prob == prob[idx]
             assert _closed_orthant(corr[idx]) == probs[idx]
@@ -685,6 +687,13 @@ def test_rejects_bad_shapes_and_values():
         orthant_probability(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 0)])
+def test_empty_stack_rejected(shape):
+    # a stack of no matrices, or of empty ones, has no orthant to integrate
+    with pytest.raises(DimensionError, match="psi must be a non-empty 3-d array"):
+        positive_orthant_mean(np.zeros(shape))
+
+
 def test_arcsin_clamped():
     x = np.array([-0.5, 0.0, 0.5])
     np.testing.assert_allclose(arcsin_clamped(x), np.arcsin(x))
@@ -781,7 +790,8 @@ def test_tallis_terms_call_orthant_probability_past_closed_dim(monkeypatch, n, c
     monkeypatch.setattr(orthant, "orthant_probability", spy)
     psi = sign_pattern_flip(random_correlation(n, np.random.default_rng(n)),
                             [1.0, -1.0, -1.0, 1.0, -1.0, 1.0][:n])
-    mean, prob = _mean_single_block(psi, rel_tol=1e-3, seed=2**63 + 7)
+    mean, prob = _mean_single_block(psi, rel_tol=1e-3, max_samples=DEFAULT_MAX_SAMPLES,
+                                    seed=2**63 + 7)
     assert len(seen) == calls
     assert all(kwargs.get("rel_tol") == 1e-3 for kwargs in seen)
     seeds = [kwargs["seed"] for kwargs in seen]

@@ -512,6 +512,23 @@ def test_build_pilots_eigenbasis_diagonalizes():
     assert np.abs(off).max() < 1e-10 * np.abs(rotated).max()
 
 
+def test_build_pilots_eigenbasis_judges_sigma_ch():
+    # sigma_ch passes the check second_order_stats applies before its
+    # transmit covariance is read, in its own dtype, so a list gives the
+    # ndarray's pilots to the bit
+    spec, dims = {"kind": "eigenbasis"}, SystemDims(3, 2, 3)
+    sigma = build_covariance({"kind": "bessel-tx", "gamma_max": 0.3}, dims)
+    pilots = build_pilots(spec, dims, 2.0, sigma_ch=sigma)
+    assert np.array_equal(build_pilots(spec, dims, 2.0, sigma_ch=sigma.tolist()), pilots)
+    with pytest.raises(DomainError, match="sigma_ch entries must be numbers"):
+        build_pilots(spec, dims, 2.0, sigma_ch=sigma.astype(str))
+    for bad in (sigma[:5, :5], sigma[:, :5]):
+        with pytest.raises(DimensionError, match=r"sigma_ch has shape .*, expected \(6, 6\)"):
+            build_pilots(spec, dims, 2.0, sigma_ch=bad)
+    with pytest.raises(DomainError, match="sigma_ch is not Hermitian"):
+        build_pilots(spec, dims, 2.0, sigma_ch=sigma + np.triu(np.ones((6, 6)), 1))
+
+
 def test_build_pilots_validation():
     dims = SystemDims(2, 1, 2)
     with pytest.raises(DomainError):
