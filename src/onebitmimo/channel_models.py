@@ -11,15 +11,13 @@ the exponential model needs no scipy.
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError
-from .model import check_number
+from .exceptions import DomainError
+from .model import check_count, check_number
 
 
 def exponential_covariance(n, rho):
     """Real exponential correlation matrix: entry (i, k) = rho^|i-k|."""
-    n = check_number(n, "n", integral=True)
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    n = check_count(n, "n")
     rho = check_number(rho, "rho")
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
@@ -36,9 +34,7 @@ def bessel_tx_covariance(n_tx, delta, theta, gamma_max):
     the angular spread.  gamma_max = 0 collapses to the rank-one steering
     outer product; the result is then only positive semidefinite.
     """
-    n_tx = check_number(n_tx, "n_tx", integral=True)
-    if n_tx < 1:
-        raise DimensionError(f"n_tx must be >= 1, got {n_tx}")
+    n_tx = check_count(n_tx, "n_tx")
     delta = check_number(delta, "delta")
     if not 0.0 < delta < np.inf:
         raise DomainError(f"delta must be > 0, got {delta}")

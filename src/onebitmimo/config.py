@@ -11,7 +11,7 @@ import dataclasses
 import yaml
 
 from .exceptions import DomainError
-from .model import SystemDims, check_number
+from .model import SystemDims
 from .simulate import SweepConfig, snr_from_db
 
 # The keys come from the dataclasses; snr_db is read by the single-point
@@ -61,9 +61,9 @@ def load_raw(path):
 
 
 def sweep_config_from_dict(raw):
-    """SweepConfig of a parsed config mapping.  SweepConfig judges every
-    value; only the shape of dims, and its entries as integers, are
-    checked here."""
+    """SweepConfig of a parsed config mapping.  SweepConfig and SystemDims
+    judge every value; only the required keys and the keys of the dims
+    mapping are checked here."""
     missing = sorted(_REQUIRED_KEYS - set(raw))
     if missing:
         raise DomainError(f"config is missing required keys {missing}")
@@ -76,8 +76,7 @@ def sweep_config_from_dict(raw):
     extra = set(dims) - _DIM_KEYS
     if extra:
         raise DomainError(f"dims has unknown keys: {sorted(extra)}")
-    dims = SystemDims(**{k: check_number(v, f"dims entry {k!r}", integral=True)
-                         for k, v in dims.items()})
+    dims = SystemDims(**dims)
     return SweepConfig(**{**{k: raw[k] for k in _FIELDS if k in raw}, "dims": dims})
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 
 class DimensionError(ValueError):
-    """Array shapes or sizes are inconsistent with the requested operation."""
+    """Shapes or sizes do not fit the operation, or a count is below 1."""
 
 
 class DomainError(ValueError):

@@ -9,9 +9,9 @@ which column-stacks to b = A h + n with A = kron(S, I_NR), h = vec(H) and
 n = vec(N).  The channel is zero-mean circular complex Gaussian with
 covariance sigma_ch, the noise i.i.d. CN(0, noise_var).  Everything
 downstream (quantization, orthant integrals, estimators) works off the
-second-order statistics bundled in :class:`SecondOrderStats`.  Every number
-and array a caller hands the package passes one rule here: check_number,
-or number_array, which refuses complex entries where the math is real.
+second-order statistics bundled in :class:`SecondOrderStats`.  Each number,
+count and array passes one rule here: check_number, check_count or
+number_array, which refuses complex entries where the math is real.
 
 scipy.special (ndtri) is imported inside sample_realizations, the one
 function here that calls it, so only sampling loads it from this module.
@@ -70,17 +70,28 @@ def check_number(value, name, integral=False, low=None, high=math.inf):
     return int(value) if integral else float(value)
 
 
+def check_count(value, name):
+    """One count rule: value as check_number's int, once at least 1; else DimensionError."""
+    value = check_number(value, name, integral=True)
+    if value < 1:
+        raise DimensionError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def number_array(value, name, dtype=float, ndim=None):
     """The package's one array rule: value as a float64 array, or complex128
     if dtype is complex, once every entry is a number, never a bool or a
     string, and a real one unless dtype is complex, as check_number refuses
     1+0j; else DomainError.  A numeric ndarray is judged by its dtype, all
-    else entry by entry.  With ndim, the array must also be non-empty with
-    ndim axes (else DimensionError) and finite."""
+    else entry by entry.  Ragged rows raise DimensionError; with ndim, so do
+    an empty array and other axes, and a NaN or infinite entry DomainError."""
     kinds = "iufc" if dtype is complex else "iuf"
     if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds):
         kind = numbers.Complex if dtype is complex else numbers.Real
-        for x in np.ravel(np.array(value, dtype=object)):
+        entries = np.ravel(np.array(value, dtype=object))
+        if entries.size and all(isinstance(x, (list, tuple, np.ndarray)) for x in entries):
+            raise DimensionError(f"{name} has rows of unequal length")
+        for x in entries:
             if not _is_number(x, kind):
                 raise DomainError(f"{name} entries must be numbers, got {x!r}")
     m = np.asarray(value, dtype=dtype)
@@ -133,7 +144,7 @@ def hermitian_inverse(m, name="matrix"):
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Antenna counts and pilot length; sanity checks on construction."""
+    """Antenna counts and pilot length, each held as check_count's int."""
 
     n_tx: int
     n_rx: int
@@ -141,9 +152,7 @@ class SystemDims:
 
     def __post_init__(self):
         for fname in ("n_tx", "n_rx", "n_pilots"):
-            val = getattr(self, fname)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 1:
-                raise DimensionError(f"{fname} must be a positive integer, got {val!r}")
+            object.__setattr__(self, fname, check_count(getattr(self, fname), fname))
 
     @property
     def obs_len(self):
@@ -273,9 +282,7 @@ def sample_realizations(stats, model, seed, n_samples, start_stream=0):
     # local: importing scipy.special costs more than most CLI calls compute
     from scipy.special import ndtri
 
-    n_samples = check_number(n_samples, "n_samples", integral=True)
-    if n_samples < 1:
-        raise DimensionError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_count(n_samples, "n_samples")
     nh = model.dims.channel_len
     nn = model.dims.obs_len
     width = 2 * (nh + nn)

@@ -532,7 +532,8 @@ def _split(psi, rel_tol, max_samples, seed, tallis):
     check_rel_tol(rel_tol)
     check_number(max_samples, "max_samples", integral=True, low=2 * _N_SHIFTS)
     check_number(seed, "seed", integral=True)
-    psi = number_array(psi, "psi", ndim=max(np.ndim(psi), 2))
+    psi = number_array(psi, "psi")
+    psi = number_array(psi, "psi", ndim=max(psi.ndim, 2))
     flat = psi.reshape(-1, *psi.shape[-2:]) if psi.ndim > 2 else [psi]
     psi = np.reshape([_validate_spd(m, "psi") for m in flat], psi.shape)
     blocks = _coupling_components(psi)
@@ -563,8 +564,9 @@ def orthant_probability(psi, rel_tol=DEFAULT_REL_TOL, max_samples=DEFAULT_MAX_SA
     once a block has 4 or more coordinates, whichever route serves it.
     _split checks all of these before any block is solved.
     """
-    if np.ndim(psi) != 2:
-        raise DimensionError(f"psi must be a 2-d array, got shape {np.shape(psi)}")
+    psi = number_array(psi, "psi")
+    if psi.ndim != 2:
+        raise DimensionError(f"psi must be a 2-d array, got shape {psi.shape}")
     psi, blocks = _split(psi, rel_tol, max_samples, seed, tallis=False)
     prob = 1.0
     for comp in blocks:

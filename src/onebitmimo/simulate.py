@@ -42,6 +42,7 @@ from .model import (
     STREAM_CONTRACT,
     SystemDims,
     build_pilot_model,
+    check_count,
     check_hermitian,
     check_number,
     number_array,
@@ -180,7 +181,7 @@ class SweepConfig:
                 raise DomainError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
         if len(set(self.estimators)) != len(self.estimators):
             raise DomainError(f"estimators contains duplicate names: {list(self.estimators)}")
-        check_number(self.trials, "trials", integral=True, low=1)
+        check_count(self.trials, "trials")
         # the seed keys a Philox4x64 stream with one uint64 word
         check_number(self.seed, "seed", integral=True, low=0, high=2**64)
         check_rel_tol(self.rel_tol)
@@ -210,9 +211,9 @@ def _spec_params(spec, kinds, what):
     spec leaves out set to their defaults in kinds[kind].
 
     DomainError for a spec that is not a mapping, a kind missing from
-    kinds, a key its kind does not read, or a value off the number rules:
-    a scalar parameter must pass check_number and a matrix one (default
-    None) number_array, which it comes back as.
+    kinds, a key its kind does not read, a matrix kind with no 'real', or
+    a value off the number rules: a scalar parameter must pass check_number
+    and a matrix one (default None) number_array, which it comes back as.
     """
     if not isinstance(spec, Mapping):
         raise DomainError(f"{what} spec must be a mapping, got {spec!r}")
@@ -228,13 +229,13 @@ def _spec_params(spec, kinds, what):
             check_number(value, f"{what} parameter {key!r}")
         elif value is not None:
             params[key] = number_array(value, f"{what} parameter {key!r}")
+    if "real" in kinds[kind] and params.get("real") is None:
+        raise DomainError("missing 'real' matrix")
     return kind, {**kinds[kind], **params}
 
 
 def _parse_complex_matrix(params):
     real = params["real"]
-    if real is None:
-        raise DomainError("missing 'real' matrix")
     imag = np.zeros_like(real) if params["imag"] is None else params["imag"]
     if imag.shape != real.shape:
         raise DimensionError(

@@ -6,7 +6,7 @@ import os
 import pytest
 import yaml
 
-from onebitmimo import DimensionError, DomainError, SystemDims
+from onebitmimo import DomainError, SystemDims
 from onebitmimo.config import load_raw, load_sweep_config, point_snr_db, sweep_config_from_dict
 from onebitmimo.simulate import build_point
 
@@ -154,7 +154,7 @@ def test_type_errors_rejected():
     for value in (True, "10"):
         with pytest.raises(DomainError, match="number"):
             point_snr_db(dict(raw, snr_db=value), cfg)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         SystemDims(n_tx=True, n_rx=1, n_pilots=1)
 
 

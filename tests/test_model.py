@@ -1,10 +1,11 @@
 """System model: stacking convention, second-order statistics, sampling,
-and the array rule every entry point applies."""
+and the count and array rules every entry point applies."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 from scipy.special import ndtri
 
 from onebitmimo import (
@@ -12,9 +13,12 @@ from onebitmimo import (
     DomainError,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    SweepConfig,
     SystemDims,
+    bessel_tx_covariance,
     build_pilot_model,
     build_pilots,
+    exponential_covariance,
     orthant_probability,
     positive_orthant_mean,
     quantize,
@@ -22,6 +26,7 @@ from onebitmimo import (
     second_order_stats,
     standardize,
 )
+from onebitmimo.config import load_sweep_config
 from onebitmimo.model import _philox, hermitian_inverse, observe
 from onebitmimo.simulate import NOISE_VAR
 
@@ -70,7 +75,7 @@ def test_kron_matrix_shape_and_content():
     assert model.dims == SystemDims(n_tx=2, n_rx=3, n_pilots=2)
     # int() would truncate 2.7 and read "3" and True; SystemDims refuses them
     for n_rx in (2.7, "3", True):
-        with pytest.raises(DimensionError, match="n_rx"):
+        with pytest.raises(DomainError, match="n_rx"):
             build_pilot_model(pilots, n_rx)
 
 
@@ -379,3 +384,68 @@ def test_array_rule_gives_numeric_inputs_one_result(entry):
     expected = _bits(call(m))
     for form in forms:
         assert _bits(call(form)) == expected
+
+
+def _ragged(m):
+    """m with its last row cut short, a vector's entries made rows first."""
+    rows = [row if isinstance(row, list) else [row, row] for row in m]
+    return rows[:-1] + [rows[-1][:-1]]
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_array_rule_refuses_ragged_rows(entry):
+    # numpy's "inhomogeneous shape" ValueError, or "entries must be numbers"
+    # naming a whole row, was the answer before the rule read rows
+    call, name, m, _ = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(DimensionError, match=f"^{name} has rows of unequal length"):
+        call(_ragged(m))
+
+
+def _sampling_inputs():
+    model = build_pilot_model([[1.0]], 1)
+    return second_order_stats(model, [[1.0]], 1.0), model
+
+
+def _config_file_dims(n, tmp_path):
+    """dims of a sweep config file whose n_pilots entry is n; YAML holds no
+    numpy scalar, so np.int64(2) is written as 2."""
+    raw = {"dims": {"n_tx": 1, "n_rx": 1, "n_pilots": n.item() if isinstance(n, np.generic) else n},
+           "covariance": {"kind": "identity"}, "pilots": {"kind": "scalar"},
+           "snr_grid_db": [0], "estimators": ["mmse"], "trials": 1, "seed": 0}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return load_sweep_config(str(path)).dims
+
+
+# Each door that takes a count: (call of the count and a scratch directory,
+# the name its errors give the count).
+COUNT_DOORS = {
+    "SystemDims-n_tx": (lambda n, _: SystemDims(n, 1, 1), "n_tx"),
+    "SystemDims-n_rx": (lambda n, _: SystemDims(1, n, 1), "n_rx"),
+    "SystemDims-n_pilots": (lambda n, _: SystemDims(1, 1, n), "n_pilots"),
+    "build_pilot_model": (lambda n, _: build_pilot_model([[1.0]], n).dims, "n_rx"),
+    "sample_realizations": (lambda n, _: sample_realizations(*_sampling_inputs(), 0, n),
+                            "n_samples"),
+    "exponential_covariance": (lambda n, _: exponential_covariance(n, 0.5), "n"),
+    "bessel_tx_covariance": (lambda n, _: bessel_tx_covariance(n, 0.5, 0.0, 0.1), "n_tx"),
+    "SweepConfig": (lambda n, _: SweepConfig(
+        dims=SystemDims(1, 1, 1), covariance={"kind": "identity"}, pilots={"kind": "scalar"},
+        snr_grid_db=(0.0,), estimators=("mmse",), trials=n, seed=0), "trials"),
+    "config-file-dims": (_config_file_dims, "n_pilots"),
+}
+
+
+@pytest.mark.parametrize("door", sorted(COUNT_DOORS))
+def test_count_rule(door, tmp_path):
+    # int() would read True as 1, truncate 2.5 and parse "3"; each door
+    # refuses them, and a count below 1, by the one rule and by name
+    call, name = COUNT_DOORS[door]
+    for value in (True, 2.5, "3"):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            call(value, tmp_path)
+    for value in (0, -1):
+        with pytest.raises(DimensionError, match=f"^{name} must be >= 1, got {value}"):
+            call(value, tmp_path)
+    out = call(np.int64(2), tmp_path)
+    if isinstance(out, SystemDims):
+        assert {type(getattr(out, f.name)) for f in dataclasses.fields(out)} == {int}

@@ -337,7 +337,7 @@ def test_config_validation():
         scalar_config(estimators=("bogus",))
     with pytest.raises(DomainError, match="estimators must not be empty"):
         scalar_config(estimators=())
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         scalar_config(trials=0)
     with pytest.raises(DomainError):
         scalar_config(seed=-1)
@@ -358,9 +358,14 @@ def test_config_validation():
                        ("pilots", {"kind": "explicit", "real": [[1.0, [2.0]]]})):
         with pytest.raises(DomainError, match="must be (an integer|a number|numbers)"):
             scalar_config(**{key: value})
-    # a config built in Python meets the type checks a YAML file does
+    # a config built in Python meets the checks a YAML file does; a matrix
+    # spec with no real part used to load and fail in build_point
     for key, value, message in (("covariance", [["kind", "identity"]], "covariance spec must be a mapping"),
                                 ("pilots", "scalar", "pilot spec must be a mapping"),
+                                ("covariance", {"kind": "custom"}, "missing 'real' matrix"),
+                                ("covariance", {"kind": "custom", "real": None, "imag": [[0.0]]},
+                                 "missing 'real' matrix"),
+                                ("pilots", {"kind": "explicit", "imag": [[1.0]]}, "missing 'real' matrix"),
                                 ("snr_grid_db", 5, "snr_grid_db must be a list or tuple"),
                                 ("estimators", ("mmse", ["x"]), r"unknown estimator \['x'\]"),
                                 ("dims", (1, 1, 1), "dims must be a SystemDims")):
